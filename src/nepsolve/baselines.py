@@ -4,13 +4,10 @@ stationarity equation against the opponent's current decision."""
 
 import numpy as np
 
-from .core import NonFiniteEvaluation, classify_point, evaluate_residual
+from .core import InnerSolveFailure, NonFiniteEvaluation, evaluate_residual
+from .core import classify_point  # noqa: F401  (looked up here by the benchmark's tracer)
 from .linalg import SingularMatrixError, lu_solve
-from .solver import IterateRecord, SolveReport, SolveStatus, SolverConfig
-
-
-class InnerSolveFailure(RuntimeError):
-    """A per-player stationarity solve is undefined or did not converge."""
+from .solver import _drive
 
 
 def newton_kkt_step(problem, x1, x2):
@@ -35,9 +32,11 @@ def newton_kkt_step(problem, x1, x2):
 def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
     """Damped Newton root find for one player's stationarity equation.
 
-    Backtracks on the squared gradient norm. Raises InnerSolveFailure when
-    the per-player Hessian block is singular (the iteration is undefined)
-    or progress stalls.
+    Backtracks on the squared gradient norm. A stalled line search whose
+    Newton step is below sqrt(eps) relative to z returns z: the gradient is
+    then at its round-off level, which at large |z| exceeds tol. Raises
+    InnerSolveFailure when the per-player Hessian block is singular (the
+    iteration is undefined) or progress stalls.
     """
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(max_iter):
@@ -60,6 +59,9 @@ def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
                 break
             s *= 0.5
         else:
+            if np.linalg.norm(p) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(z)):
+                # the Newton step no longer moves z at float precision
+                return z
             raise InnerSolveFailure("inner line search stalled")
         z = z + s * p
     g = grad(z)
@@ -92,90 +94,33 @@ def exact_jacobi_step(problem, x1, x2, inner_tol=1e-10):
     return x1_new, x2_new
 
 
-def _run_loop(problem, x0_1, x0_2, config, stepper, solver_name):
-    config = config or SolverConfig()
-    x1 = np.atleast_1d(np.asarray(x0_1, dtype=float)).copy()
-    x2 = np.atleast_1d(np.asarray(x0_2, dtype=float)).copy()
-    if x1.shape != (problem.n1,) or x2.shape != (problem.n2,):
-        raise ValueError("start point does not match problem dimensions")
-
-    trajectory = []
-    k = 0
-    while True:
-        if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
-            status, res_norm, classification = SolveStatus.DIVERGED, float("inf"), None
-            break
-        try:
-            res = evaluate_residual(problem, x1, x2)
-        except NonFiniteEvaluation:
-            status, res_norm, classification = SolveStatus.DIVERGED, float("inf"), None
-            break
-        if res.norm <= config.grad_tol:
-            status, res_norm = SolveStatus.CONVERGED, res.norm
-            classification = classify_point(
-                problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd
-            )
-            break
-        if k >= config.max_iter:
-            status, res_norm, classification = SolveStatus.MAX_ITERATIONS, res.norm, None
-            break
-        try:
-            x1_next, x2_next = stepper(x1, x2)
-        except NonFiniteEvaluation:
-            status, res_norm, classification = SolveStatus.DIVERGED, float("inf"), None
-            break
-        trajectory.append(
-            IterateRecord(
-                k=k,
-                x1=x1,
-                x2=x2,
-                g1=res.g1,
-                g2=res.g2,
-                t=1.0,
-                d1=x1_next - x1,
-                d2=x2_next - x2,
-                certificate=None,
-            )
-        )
-        x1, x2 = x1_next, x2_next
-        k += 1
-
-    return SolveReport(
-        status=status,
-        final_x1=x1,
-        final_x2=x2,
-        final_residual=res_norm,
-        iterations=k,
-        trajectory=tuple(trajectory),
-        classification=classification,
-        problem=problem,
-        config=config,
-        solver=solver_name,
-    )
+def _unit_step(x1, x2, x1_next, x2_next):
+    """A unit step to (x1_next, x2_next), in the form `_drive` takes."""
+    return x1_next, x2_next, 1.0, x1_next - x1, x2_next - x2, None
 
 
 def solve_newton_kkt(problem, x0_1, x0_2, config=None):
     """Iterate unit Newton steps on the stacked system until termination.
 
-    SingularMatrixError propagates: a singular full matrix leaves the method
-    undefined at the iterate.
+    A singular full matrix leaves the method undefined at the iterate; the
+    report then has status UNDEFINED_STEP.
     """
 
-    def stepper(x1, x2):
+    def step(x1, x2, res):
         d1, d2 = newton_kkt_step(problem, x1, x2)
-        return x1 + d1, x2 + d2
+        return _unit_step(x1, x2, x1 + d1, x2 + d2)
 
-    return _run_loop(problem, x0_1, x0_2, config, stepper, "newton-kkt")
+    return _drive(problem, x0_1, x0_2, config, step, "newton-kkt")
 
 
 def solve_exact_jacobi(problem, x0_1, x0_2, config=None, inner_tol=1e-10):
     """Iterate simultaneous per-player stationarity solves until termination.
 
-    InnerSolveFailure propagates (e.g. a null per-player Hessian makes the
-    update undefined).
+    An undefined or failed per-player solve (e.g. a null per-player Hessian)
+    ends the run with status UNDEFINED_STEP.
     """
 
-    def stepper(x1, x2):
-        return exact_jacobi_step(problem, x1, x2, inner_tol=inner_tol)
+    def step(x1, x2, res):
+        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2, inner_tol=inner_tol))
 
-    return _run_loop(problem, x0_1, x0_2, config, stepper, "exact-jacobi")
+    return _drive(problem, x0_1, x0_2, config, step, "exact-jacobi")

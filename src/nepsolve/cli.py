@@ -6,8 +6,8 @@ plus a CSV trajectory; `table1` reproduces the five-example comparison;
 starts; `diagnose` runs a solve and then the assumption/lemma certificates.
 
 Exit codes: 0 converged, 2 diverged, 3 iteration cap, 4 line-search failure,
-5 undefined step (singular system / inner solve failure), 64 usage error,
-65 unknown problem id.
+5 undefined step (status `undefined`: a singular system, failed inner solve
+or overflowing Hessian shift), 64 usage error, 65 unknown problem id.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .baselines import InnerSolveFailure, solve_exact_jacobi, solve_newton_kkt
+from .baselines import solve_exact_jacobi, solve_newton_kkt
 from .core import PointKind
 from .diagnostics import (
     estimate_assumptions,
@@ -27,7 +27,6 @@ from .diagnostics import (
     partial_direction_sums,
     verify_lemma_bounds,
 )
-from .linalg import SingularMatrixError
 from .solver import SolveStatus, SolverConfig, solve
 from .suite import UnknownProblemId, get_problem
 
@@ -44,6 +43,7 @@ _STATUS_EXIT = {
     SolveStatus.DIVERGED: EXIT_DIVERGED,
     SolveStatus.MAX_ITERATIONS: EXIT_MAX_ITERATIONS,
     SolveStatus.LINE_SEARCH_FAILURE: EXIT_LINE_SEARCH_FAILURE,
+    SolveStatus.UNDEFINED_STEP: EXIT_UNDEFINED_STEP,
 }
 
 SOLVERS = ("descent-newton", "newton-kkt", "exact-jacobi")
@@ -208,11 +208,7 @@ def cmd_solve(spec):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNKNOWN_PROBLEM
     x1, x2 = resolve_x0(problem, spec.problem_id, spec.x0)
-    try:
-        report = run_solver(problem, spec.solver, x1, x2, spec.config)
-    except (InnerSolveFailure, SingularMatrixError) as err:
-        print(f"{spec.problem_id}/{spec.solver}: undefined step ({err})", file=sys.stderr)
-        return EXIT_UNDEFINED_STEP
+    report = run_solver(problem, spec.solver, x1, x2, spec.config)
 
     out = _out_dir(spec.out_dir)
     stem = f"{spec.problem_id}_{spec.solver}"
@@ -237,10 +233,9 @@ def _table_cell(problem, solver, config):
     x0 = PAPER_STARTS[problem.name]
     x1 = np.asarray(x0[: problem.n1])
     x2 = np.asarray(x0[problem.n1 :])
-    try:
-        report = run_solver(problem, solver, x1, x2, config)
-    except (InnerSolveFailure, SingularMatrixError):
-        return {"status": "undefined", "point": "-", "residual": "-", "iterations": "-"}
+    report = run_solver(problem, solver, x1, x2, config)
+    if report.status is SolveStatus.UNDEFINED_STEP:
+        return {"status": report.status.value, "point": "-", "residual": "-", "iterations": "-"}
     if report.status is SolveStatus.CONVERGED:
         point = "(" + ", ".join(f"{v:.5f}" for v in np.concatenate([report.final_x1, report.final_x2])) + ")"
     else:
@@ -287,11 +282,7 @@ def facility_bench(runs, seed, solvers, config):
         iters = []
         for row in starts:
             x1, x2 = row[: problem.n1], row[problem.n1 :]
-            try:
-                report = run_solver(problem, solver, x1, x2, config)
-            except (InnerSolveFailure, SingularMatrixError):
-                counts["failed"] += 1
-                continue
+            report = run_solver(problem, solver, x1, x2, config)
             if report.status is not SolveStatus.CONVERGED:
                 counts["failed"] += 1
                 continue
@@ -343,11 +334,7 @@ def cmd_diagnose(spec, box, samples):
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNKNOWN_PROBLEM
     x1, x2 = resolve_x0(problem, spec.problem_id, spec.x0)
-    try:
-        report = run_solver(problem, spec.solver, x1, x2, spec.config)
-    except (InnerSolveFailure, SingularMatrixError) as err:
-        print(f"{spec.problem_id}/{spec.solver}: undefined step ({err})", file=sys.stderr)
-        return EXIT_UNDEFINED_STEP
+    report = run_solver(problem, spec.solver, x1, x2, spec.config)
 
     estimates = estimate_assumptions(problem, box, samples, spec.seed)
     payload = {

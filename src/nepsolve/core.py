@@ -17,6 +17,10 @@ class NonFiniteEvaluation(RuntimeError):
     """An oracle produced NaN/Inf, or the objective is undefined at the point."""
 
 
+class InnerSolveFailure(RuntimeError):
+    """A per-player stationarity solve is undefined or did not converge."""
+
+
 def _as_vector(x, n, label):
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (n,):

@@ -73,6 +73,12 @@ class SpdSurrogate:
     min_eig_floor: float
 
 
+def _is_symmetric(H):
+    """Whether the square H equals its transpose up to 1e-8 of its largest entry."""
+    scale = float(np.max(np.abs(H))) if H.size else 1.0
+    return not np.max(np.abs(H - H.T)) > 1e-8 * max(1.0, scale)
+
+
 def modified_cholesky(H, floor):
     """Positive definite surrogate of a symmetric H by diagonal shifting.
 
@@ -86,8 +92,7 @@ def modified_cholesky(H, floor):
         raise DimensionMismatch(f"matrix must be square, got {H.shape}")
     if floor <= 0:
         raise ValueError("eigenvalue floor must be positive")
-    scale = float(np.max(np.abs(H))) if H.size else 1.0
-    if np.max(np.abs(H - H.T)) > 1e-8 * max(1.0, scale):
+    if not _is_symmetric(H):
         raise ValueError("modified_cholesky requires a symmetric matrix")
     H = 0.5 * (H + H.T)
 

@@ -13,16 +13,30 @@ system, so the direction is re-solved before the six acceptance
 inequalities are checked. The inequalities compare each player's progress
 against the objective parameterized by the *predicted* decision of the
 opponent (x_other + t*d_other), not the current one.
+
+The outer loop (divergence radius, residual, convergence test, iteration
+cap, trajectory and report) is `_drive`, the run loop shared with the two
+baselines: each solver only supplies its step function, and every failure
+inside the loop becomes a SolveStatus on the report.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteEvaluation, classify_point, evaluate_residual
-from .linalg import SingularMatrixError, SpdSurrogate, assemble_block_system, lu_solve, modified_cholesky
+from .core import InnerSolveFailure, NonFiniteEvaluation, classify_point, evaluate_residual
+from .linalg import (
+    ShiftOverflow,
+    SingularMatrixError,
+    SpdSurrogate,
+    _is_symmetric,
+    assemble_block_system,
+    lu_solve,
+    modified_cholesky,
+)
 
 
 class HessianStrategy(Enum):
@@ -36,6 +50,7 @@ class SolveStatus(Enum):
     DIVERGED = "diverged"
     MAX_ITERATIONS = "max-iterations"
     LINE_SEARCH_FAILURE = "line-search-failure"
+    UNDEFINED_STEP = "undefined"
 
 
 @dataclass(frozen=True)
@@ -78,6 +93,17 @@ class SolverConfig:
             self.user_h1 is None or self.user_h2 is None
         ):
             raise ValueError("user-supplied strategy needs user_h1 and user_h2")
+        for name in ("user_h1", "user_h2"):
+            h = getattr(self, name)
+            if h is None:
+                continue
+            h = np.asarray(h, dtype=float)
+            if h.ndim != 2 or h.shape[0] != h.shape[1]:
+                raise ValueError(f"{name} must be a square 2-D array, got shape {h.shape}")
+            if not np.all(np.isfinite(h)):
+                raise ValueError(f"{name} has non-finite entries")
+            if not _is_symmetric(h):
+                raise ValueError(f"{name} must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -240,146 +266,127 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
     return LineSearchCertificate(t=t, checks=checks, backtracks=0, singular_halvings=0)
 
 
-def _diverged_report(problem, config, x1, x2, trajectory, k):
-    return SolveReport(
-        status=SolveStatus.DIVERGED,
-        final_x1=x1,
-        final_x2=x2,
-        final_residual=float("inf"),
-        iterations=k,
-        trajectory=tuple(trajectory),
-        classification=None,
-        problem=problem,
-        config=config,
-    )
+def _descent_step(problem, config, x1, x2, res):
+    """One descent Newton iteration from (x1, x2), whose residual is res.
+
+    Builds the Hessian surrogates and mixed blocks once; then, with t reset
+    to 1, repeatedly safeguards the mixed blocks, solves the block system
+    (halving t when it is singular) and tests the six inequalities, halving
+    t on rejection, until a step is accepted or t falls below t_min.
+    Returns the accepted step in the form `_drive` takes, or DIVERGED /
+    LINE_SEARCH_FAILURE when no trial was accepted.
+    """
+    H1, H2 = build_surrogates(problem, x1, x2, config)
+    mixed1 = problem.mixed12_f1(x1, x2)
+    mixed2 = problem.mixed21_f2(x1, x2)
+    if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
+        raise NonFiniteEvaluation("mixed Hessian block is non-finite")
+
+    t = 1.0
+    backtracks = 0
+    singular_halvings = 0
+    nonfinite_seen = False
+    while True:
+        try:
+            direction = compute_direction(
+                problem, x1, x2, res.g1, res.g2, H1, H2, t, config,
+                mixed1=mixed1, mixed2=mixed2,
+            )
+        except SingularMatrixError:
+            singular_halvings += 1
+        else:
+            try:
+                cert = check_inequalities(problem, x1, x2, res.g1, res.g2, direction, t, config)
+                if cert.accepted:
+                    cert = replace(cert, backtracks=backtracks, singular_halvings=singular_halvings)
+                    d1, d2 = direction.d1, direction.d2
+                    return x1 + t * d1, x2 + t * d2, t, d1, d2, cert
+            except NonFiniteEvaluation:
+                nonfinite_seen = True
+            backtracks += 1
+        t *= 0.5
+        if t < config.t_min:
+            return SolveStatus.DIVERGED if nonfinite_seen else SolveStatus.LINE_SEARCH_FAILURE
 
 
-def solve(problem, x0_1, x0_2, config=None):
-    """Run the iteration from (x0_1, x0_2) until a terminal status.
+def _drive(problem, x0_1, x0_2, config, step, solver):
+    """The outer loop of every solver, from (x0_1, x0_2) to a terminal status.
 
-    Per iteration: evaluate gradients and stop on convergence, divergence or
-    the iteration cap; build the Hessian surrogates once; then with t reset
-    to 1, repeatedly safeguard the mixed blocks, solve the block system
-    (halving t when it is singular) and test the six inequalities, halving t
-    on rejection, until a step is accepted or t falls below t_min.
+    Per iteration: stop as diverged beyond the divergence radius, evaluate
+    the residual, stop on convergence or the iteration cap, then call
+    step(x1, x2, res). A step returns either the terminal status it ran
+    into or (x1_next, x2_next, t, d1, d2, certificate); the loop then
+    records the iterate and moves to the next point.
 
-    All failure modes are statuses on the report, never exceptions.
+    Malformed inputs raise ValueError on entry; every failure inside the
+    loop is a status: a non-finite evaluation is DIVERGED, a singular
+    system, failed inner solve or overflowing Hessian shift UNDEFINED_STEP.
     """
     config = config or SolverConfig()
     x1 = np.atleast_1d(np.asarray(x0_1, dtype=float)).copy()
     x2 = np.atleast_1d(np.asarray(x0_2, dtype=float)).copy()
     if x1.shape != (problem.n1,) or x2.shape != (problem.n2,):
         raise ValueError("start point does not match problem dimensions")
+    for name, n in (("user_h1", problem.n1), ("user_h2", problem.n2)):
+        h = getattr(config, name)
+        if h is not None and np.shape(h) != (n, n):
+            raise ValueError(f"{name} has shape {np.shape(h)}, the problem needs ({n}, {n})")
 
     trajectory = []
-    k = 0
-    while True:
-        if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
-            return _diverged_report(problem, config, x1, x2, trajectory, k)
-        try:
-            res = evaluate_residual(problem, x1, x2)
-        except NonFiniteEvaluation:
-            return _diverged_report(problem, config, x1, x2, trajectory, k)
-        if res.norm <= config.grad_tol:
-            return SolveReport(
-                status=SolveStatus.CONVERGED,
-                final_x1=x1,
-                final_x2=x2,
-                final_residual=res.norm,
-                iterations=k,
-                trajectory=tuple(trajectory),
-                classification=classify_point(
-                    problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd
-                ),
-                problem=problem,
-                config=config,
-            )
-        if k >= config.max_iter:
-            return SolveReport(
-                status=SolveStatus.MAX_ITERATIONS,
-                final_x1=x1,
-                final_x2=x2,
-                final_residual=res.norm,
-                iterations=k,
-                trajectory=tuple(trajectory),
-                classification=None,
-                problem=problem,
-                config=config,
-            )
-
-        try:
-            H1, H2 = build_surrogates(problem, x1, x2, config)
-            mixed1 = problem.mixed12_f1(x1, x2)
-            mixed2 = problem.mixed21_f2(x1, x2)
-            if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
-                raise NonFiniteEvaluation("mixed Hessian block is non-finite")
-        except NonFiniteEvaluation:
-            return _diverged_report(problem, config, x1, x2, trajectory, k)
-
-        t = 1.0
-        backtracks = 0
-        singular_halvings = 0
-        nonfinite_seen = False
-        accepted = None
+    classification = None
+    try:
         while True:
-            try:
-                direction = compute_direction(
-                    problem, x1, x2, res.g1, res.g2, H1, H2, t, config,
-                    mixed1=mixed1, mixed2=mixed2,
-                )
-            except SingularMatrixError:
-                singular_halvings += 1
-                t *= 0.5
-                if t < config.t_min:
-                    break
-                continue
-            try:
-                cert = check_inequalities(
-                    problem, x1, x2, res.g1, res.g2, direction, t, config
-                )
-                rejected = not cert.accepted
-            except NonFiniteEvaluation:
-                nonfinite_seen = True
-                rejected = True
-                cert = None
-            if not rejected:
-                accepted = (direction, cert)
+            if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
+                status = SolveStatus.DIVERGED
                 break
-            backtracks += 1
-            t *= 0.5
-            if t < config.t_min:
+            res = evaluate_residual(problem, x1, x2)
+            if res.norm <= config.grad_tol:
+                status = SolveStatus.CONVERGED
+                classification = classify_point(
+                    problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd
+                )
                 break
-
-        if accepted is None:
-            if nonfinite_seen:
-                return _diverged_report(problem, config, x1, x2, trajectory, k)
-            return SolveReport(
-                status=SolveStatus.LINE_SEARCH_FAILURE,
-                final_x1=x1,
-                final_x2=x2,
-                final_residual=res.norm,
-                iterations=k,
-                trajectory=tuple(trajectory),
-                classification=None,
-                problem=problem,
-                config=config,
+            if len(trajectory) >= config.max_iter:
+                status = SolveStatus.MAX_ITERATIONS
+                break
+            outcome = step(x1, x2, res)
+            if isinstance(outcome, SolveStatus):
+                status = outcome
+                break
+            x1_next, x2_next, t, d1, d2, certificate = outcome
+            trajectory.append(
+                IterateRecord(
+                    k=len(trajectory), x1=x1, x2=x2, g1=res.g1, g2=res.g2,
+                    t=t, d1=d1, d2=d2, certificate=certificate,
+                )
             )
+            x1, x2 = x1_next, x2_next
+    except NonFiniteEvaluation:
+        status = SolveStatus.DIVERGED
+    except (SingularMatrixError, InnerSolveFailure, ShiftOverflow):
+        status = SolveStatus.UNDEFINED_STEP
 
-        direction, cert = accepted
-        cert = replace(cert, backtracks=backtracks, singular_halvings=singular_halvings)
-        trajectory.append(
-            IterateRecord(
-                k=k,
-                x1=x1,
-                x2=x2,
-                g1=res.g1,
-                g2=res.g2,
-                t=t,
-                d1=direction.d1,
-                d2=direction.d2,
-                certificate=cert,
-            )
-        )
-        x1 = x1 + t * direction.d1
-        x2 = x2 + t * direction.d2
-        k += 1
+    return SolveReport(
+        status=status,
+        final_x1=x1,
+        final_x2=x2,
+        final_residual=float("inf") if status is SolveStatus.DIVERGED else res.norm,
+        iterations=len(trajectory),
+        trajectory=tuple(trajectory),
+        classification=classification,
+        problem=problem,
+        config=config,
+        solver=solver,
+    )
+
+
+def solve(problem, x0_1, x0_2, config=None):
+    """Run the descent Newton iteration from (x0_1, x0_2) to a terminal status.
+
+    Each iteration is one _descent_step inside the shared run loop. All
+    failure modes are statuses on the report, never exceptions; only a
+    malformed start point or user Hessian raises ValueError.
+    """
+    config = config or SolverConfig()
+    step = partial(_descent_step, problem, config)
+    return _drive(problem, x0_1, x0_2, config, step, "descent-newton")

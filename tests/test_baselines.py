@@ -9,6 +9,7 @@ from nepsolve import (
     SolverConfig,
     evaluate_residual,
     exact_jacobi_step,
+    get_problem,
     make_example,
     newton_kkt_step,
     random_quadratic_nep,
@@ -112,8 +113,19 @@ def test_jacobi_solve_example2_diverges():
 def test_jacobi_example4_undefined():
     with pytest.raises(InnerSolveFailure):
         exact_jacobi_step(make_example(4), [-5.0], [1.0])
-    with pytest.raises(InnerSolveFailure):
-        solve_exact_jacobi(make_example(4), [-5.0], [1.0])
+    report = solve_exact_jacobi(make_example(4), [-5.0], [1.0])
+    assert report.status is SolveStatus.UNDEFINED_STEP
+    assert report.iterations == 0
+
+
+def test_jacobi_diverges_on_quadratic_with_rho_above_one():
+    # the Jacobi map of this game has spectral radius above 1; once |x| is
+    # large the inner gradient sits at its round-off level above inner_tol,
+    # and the run must still end as diverged rather than undefined
+    problem = get_problem("quadratic:1:40x40")
+    report = solve_exact_jacobi(problem, np.zeros(problem.n1), np.zeros(problem.n2))
+    assert report.status is SolveStatus.DIVERGED
+    assert report.iterations > 10
 
 
 def test_jacobi_example5_branch_from_current_coordinate():

@@ -63,11 +63,14 @@ def test_usage_error_exit_code():
 
 
 def test_jacobi_undefined_exit_code(tmp_path):
-    code, _ = run_cli(
+    code, out = run_cli(
         ["solve", "--problem", "examp4", "--solver", "exact-jacobi", "--x0", "paper"],
         tmp_path,
     )
     assert code == 5
+    report = json.loads((out / "examp4_exact-jacobi_report.json").read_text())
+    assert report["status"] == "undefined"
+    assert report["iterations"] == 0
 
 
 def test_trajectory_csv_round_trip(tmp_path):

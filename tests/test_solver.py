@@ -30,6 +30,18 @@ def test_config_validation():
         SolverConfig(grad_tol=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(hessian_strategy=HessianStrategy.USER_SUPPLIED)
+    # user Hessians must be finite, square, symmetric 2-D arrays
+    for bad in ([[np.nan]], [[1.0, 0.0]], [1.0], [[1.0, 2.0], [0.0, 1.0]], np.ones((1, 1, 1))):
+        with pytest.raises(ValueError):
+            SolverConfig(user_h1=bad)
+        with pytest.raises(ValueError):
+            SolverConfig(user_h2=bad)
+    # and match the problem's player dimensions
+    wrong_shape = SolverConfig(
+        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=np.eye(2), user_h2=[[1.0]]
+    )
+    with pytest.raises(ValueError):
+        solve(make_example(1), [-5.0], [1.0], wrong_shape)
 
 
 def test_safeguard_keeps_blocks_for_active_players():
@@ -302,6 +314,16 @@ def test_identity_strategy_runs():
     report = solve(make_example(1), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.CONVERGED
     assert report.final_x1 == pytest.approx([2.0], abs=1e-3)
+
+
+def test_overflowing_user_hessian_shift_is_undefined_step():
+    # the doubling shift cannot make -1e13 positive below its 1e12 cap
+    cfg = SolverConfig(
+        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=[[-1e13]], user_h2=[[1.0]]
+    )
+    report = solve(make_example(1), [-5.0], [1.0], cfg)
+    assert report.status is SolveStatus.UNDEFINED_STEP
+    assert report.iterations == 0
 
 
 def test_line_search_failure_status():
