@@ -68,57 +68,3 @@ from .diagnostics import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "NepProblem",
-    "NonFiniteEvaluation",
-    "PointClass",
-    "PointKind",
-    "Residual",
-    "classify_point",
-    "evaluate_residual",
-    "finite_diff_gradient",
-    "finite_diff_hessian_block",
-    "DimensionMismatch",
-    "ShiftOverflow",
-    "SingularMatrixError",
-    "SpdSurrogate",
-    "assemble_block_system",
-    "lu_solve",
-    "modified_cholesky",
-    "spectral_bounds_sym",
-    "Direction",
-    "HessianStrategy",
-    "IterateRecord",
-    "LineSearchCertificate",
-    "SolveReport",
-    "SolveStatus",
-    "SolverConfig",
-    "check_inequalities",
-    "compute_direction",
-    "safeguard_mixed_blocks",
-    "solve",
-    "InnerSolveFailure",
-    "exact_jacobi_step",
-    "newton_kkt_step",
-    "solve_exact_jacobi",
-    "solve_newton_kkt",
-    "FacilityInstance",
-    "GenerationFailure",
-    "QuadraticNep",
-    "UnknownProblemId",
-    "get_problem",
-    "make_example",
-    "make_facility",
-    "make_facility_1d_instance",
-    "make_facility_2d_paper",
-    "random_quadratic_nep",
-    "AssumptionEstimates",
-    "LemmaCheckReport",
-    "StepsizeReport",
-    "estimate_assumptions",
-    "monitor_stepsizes",
-    "partial_direction_sums",
-    "validate_derivatives",
-    "verify_lemma_bounds",
-]

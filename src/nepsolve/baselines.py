@@ -10,13 +10,15 @@ from .linalg import SingularMatrixError, lu_solve
 from .solver import _drive
 
 
-def newton_kkt_step(problem, x1, x2):
+def newton_kkt_step(problem, x1, x2, res=None):
     """Unit Newton step for the stacked first-order system.
 
     Uses the true (possibly indefinite) per-player Hessian blocks; raises
-    SingularMatrixError when the full matrix fails the pivot test.
+    SingularMatrixError when the full matrix fails the pivot test. The
+    residual at (x1, x2) may be passed in to avoid evaluating it again.
     """
-    res = evaluate_residual(problem, x1, x2)
+    if res is None:
+        res = evaluate_residual(problem, x1, x2)
     K = np.block(
         [
             [problem.hessian11(x1, x2), problem.mixed12_f1(x1, x2)],
@@ -107,7 +109,7 @@ def solve_newton_kkt(problem, x0_1, x0_2, config=None):
     """
 
     def step(x1, x2, res):
-        d1, d2 = newton_kkt_step(problem, x1, x2)
+        d1, d2 = newton_kkt_step(problem, x1, x2, res)
         return _unit_step(x1, x2, x1 + d1, x2 + d2)
 
     return _drive(problem, x0_1, x0_2, config, step, "newton-kkt")

@@ -7,7 +7,9 @@ starts; `diagnose` runs a solve and then the assumption/lemma certificates.
 
 Exit codes: 0 converged, 2 diverged, 3 iteration cap, 4 line-search failure,
 5 undefined step (status `undefined`: a singular system, failed inner solve
-or overflowing Hessian shift), 64 usage error, 65 unknown problem id.
+or overflowing Hessian shift), 64 usage error (an unknown flag, a flag value
+the config or the diagnostics reject, a bad --x0), 65 unknown or malformed
+problem id.
 """
 
 import argparse
@@ -15,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -64,18 +66,6 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RunSpec:
-    """One solver run: problem id, solver name, start point and overrides."""
-
-    problem_id: str
-    solver: str = "descent-newton"
-    x0: str = "paper"
-    config: SolverConfig = field(default_factory=SolverConfig)
-    seed: int = 0
-    out_dir: str = "."
-
-
 def _fmt(value):
     return format(float(value), ".17g")
 
@@ -95,6 +85,8 @@ def resolve_x0(problem, problem_id, x0_text):
             f"--x0 has {len(coords)} coordinates, problem needs {problem.n1 + problem.n2}"
         )
     x = np.asarray(coords, dtype=float)
+    if not np.all(np.isfinite(x)):
+        raise UsageError(f"--x0 {x0_text!r} has non-finite coordinates")
     return x[: problem.n1], x[problem.n1 :]
 
 
@@ -194,156 +186,131 @@ def _write_csv(path, rows, comment=None):
         writer.writerows(rows)
 
 
-def _out_dir(spec_out_dir):
-    out = spec_out_dir or os.environ.get("NEP_OUT_DIR") or "."
+def _out_dir(out_dir):
+    out = out_dir or os.environ.get("NEP_OUT_DIR") or "."
     os.makedirs(out, exist_ok=True)
     return out
 
 
-def cmd_solve(spec):
-    """Run one solve, write report files, return the process exit code."""
-    try:
-        problem = get_problem(spec.problem_id)
-    except UnknownProblemId as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNKNOWN_PROBLEM
-    x1, x2 = resolve_x0(problem, spec.problem_id, spec.x0)
-    report = run_solver(problem, spec.solver, x1, x2, spec.config)
+def _print_and_write(rows, out_dir, filename, comment):
+    """Print rows as an aligned table and write them as a commented CSV."""
+    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
+    for r in rows:
+        print("  ".join(val.ljust(w) for val, w in zip(r, widths)))
+    _write_csv(os.path.join(_out_dir(out_dir), filename), rows, comment=comment)
+    return EXIT_OK
 
-    out = _out_dir(spec.out_dir)
-    stem = f"{spec.problem_id}_{spec.solver}"
+
+def _run(args):
+    """Run --solver on --problem from --x0 with the config flags."""
+    config = _config_from_args(args)
+    problem = get_problem(args.problem)
+    x1, x2 = resolve_x0(problem, args.problem, args.x0)
+    return problem, run_solver(problem, args.solver, x1, x2, config)
+
+
+def cmd_solve(args):
+    """Run one solve, write report files, return the process exit code."""
+    problem, report = _run(args)
+    out = _out_dir(args.out_dir)
+    stem = f"{args.problem}_{args.solver}"
     with open(os.path.join(out, f"{stem}_report.json"), "w") as fh:
-        json.dump(report_to_dict(report, spec.problem_id, spec.solver), fh, indent=2)
+        json.dump(report_to_dict(report, args.problem, args.solver), fh, indent=2)
     _write_csv(
         os.path.join(out, f"{stem}_trajectory.csv"),
         trajectory_csv_rows(problem, report),
-        comment=f"nepsolve trajectory problem={spec.problem_id} solver={spec.solver}",
+        comment=f"nepsolve trajectory problem={args.problem} solver={args.solver}",
     )
 
     point = ", ".join(_fmt(v) for v in np.concatenate([report.final_x1, report.final_x2]))
     print(
-        f"{spec.problem_id}/{spec.solver}: {report.status.value} "
+        f"{args.problem}/{args.solver}: {report.status.value} "
         f"at ({point}) residual {report.final_residual:.6e} "
         f"in {report.iterations} iteration(s)"
     )
     return _STATUS_EXIT[report.status]
 
 
-def _table_cell(problem, solver, config):
-    x0 = PAPER_STARTS[problem.name]
-    x1 = np.asarray(x0[: problem.n1])
-    x2 = np.asarray(x0[problem.n1 :])
-    report = run_solver(problem, solver, x1, x2, config)
+def _table_row(problem, solver, config):
+    report = run_solver(problem, solver, *resolve_x0(problem, problem.name, "paper"), config)
+    status = report.status.value
     if report.status is SolveStatus.UNDEFINED_STEP:
-        return {"status": report.status.value, "point": "-", "residual": "-", "iterations": "-"}
+        return [problem.name, solver, status, "-", "-", "-"]
     if report.status is SolveStatus.CONVERGED:
         point = "(" + ", ".join(f"{v:.5f}" for v in np.concatenate([report.final_x1, report.final_x2])) + ")"
     else:
-        point = report.status.value
+        point = status
     resid = "inf" if not np.isfinite(report.final_residual) else f"{report.final_residual:.5e}"
-    return {
-        "status": report.status.value,
-        "point": point,
-        "residual": resid,
-        "iterations": str(report.iterations),
-    }
+    return [problem.name, solver, status, point, resid, str(report.iterations)]
 
 
-def cmd_table1(out_dir="."):
+def cmd_table1(args):
     """Run the five examples against all three solvers and tabulate."""
     config = SolverConfig()
     rows = [["problem", "solver", "status", "point", "grad_norm", "iterations"]]
     for pid in ("examp1", "examp2", "examp3", "examp4", "examp5"):
         problem = get_problem(pid)
-        for solver in SOLVERS:
-            cell = _table_cell(problem, solver, config)
-            rows.append([pid, solver, cell["status"], cell["point"], cell["residual"], cell["iterations"]])
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)))
-    out = _out_dir(out_dir)
-    _write_csv(os.path.join(out, "table1.csv"), rows, comment="nepsolve table1")
-    return EXIT_OK
+        rows += [_table_row(problem, solver, config) for solver in SOLVERS]
+    return _print_and_write(rows, args.out_dir, "table1.csv", "nepsolve table1")
 
 
-def facility_bench(runs, seed, solvers, config):
+def cmd_facility_bench(args):
     """Seeded random-start study on the 2-D facility problem.
 
-    Returns per-solver outcome counts plus the average iteration count among
-    converged runs. Starts are drawn once and shared across solvers, merged
-    in seed order.
+    Tabulates per-solver outcome counts plus the average iteration count
+    among converged runs. Starts are drawn once and shared across solvers.
     """
+    solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
+    for s in solvers:
+        if s not in SOLVERS:
+            raise UsageError(f"unknown solver {s!r}")
+    if args.runs < 0 or args.seed < 0:
+        raise UsageError(f"--runs and --seed must be >= 0, got {args.runs} and {args.seed}")
+    # The published study's tolerance, plus an escape radius: a facility
+    # 100+ units from every client has walked off into the flat tail where
+    # gradients vanish without any equilibrium.
+    config = _config_from_args(args, base=SolverConfig(grad_tol=1e-6, divergence_radius=100.0))
+
     problem = get_problem("facility2d")
-    rng = np.random.default_rng(seed)
-    starts = rng.uniform(-2.0, 2.0, size=(runs, problem.n1 + problem.n2))
-    results = {}
-    for solver in solvers:
-        counts = {"equilibrium": 0, "non_equilibrium_stationary": 0, "failed": 0}
-        iters = []
-        for row in starts:
-            x1, x2 = row[: problem.n1], row[problem.n1 :]
-            report = run_solver(problem, solver, x1, x2, config)
-            if report.status is not SolveStatus.CONVERGED:
-                counts["failed"] += 1
-                continue
-            iters.append(report.iterations)
-            kind = report.classification.kind
-            if kind is PointKind.EQUILIBRIUM_CANDIDATE:
-                counts["equilibrium"] += 1
-            else:
-                counts["non_equilibrium_stationary"] += 1
-        results[solver] = {
-            "counts": counts,
-            "avg_iterations_converged": float(np.mean(iters)) if iters else None,
-        }
-    return results
-
-
-def cmd_facility_bench(runs, seed, solvers, config, out_dir="."):
-    results = facility_bench(runs, seed, solvers, config)
+    rng = np.random.default_rng(args.seed)
+    starts = rng.uniform(-2.0, 2.0, size=(args.runs, problem.n1 + problem.n2))
     rows = [["solver", "equilibrium", "non_equilibrium_stationary", "failed", "avg_iterations_converged"]]
     for solver in solvers:
-        r = results[solver]
-        avg = r["avg_iterations_converged"]
-        rows.append(
-            [
-                solver,
-                str(r["counts"]["equilibrium"]),
-                str(r["counts"]["non_equilibrium_stationary"]),
-                str(r["counts"]["failed"]),
-                "-" if avg is None else _fmt(avg),
-            ]
-        )
-    widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
-    for r in rows:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)))
-    out = _out_dir(out_dir)
-    _write_csv(
-        os.path.join(out, "facility_bench.csv"),
-        rows,
-        comment=f"nepsolve facility-bench runs={runs} seed={seed}",
+        equilibrium = stationary = failed = 0
+        iters = []
+        for row in starts:
+            report = run_solver(problem, solver, row[: problem.n1], row[problem.n1 :], config)
+            if report.status is not SolveStatus.CONVERGED:
+                failed += 1
+                continue
+            iters.append(report.iterations)
+            if report.classification.kind is PointKind.EQUILIBRIUM_CANDIDATE:
+                equilibrium += 1
+            else:
+                stationary += 1
+        avg = _fmt(np.mean(iters)) if iters else "-"
+        rows.append([solver, str(equilibrium), str(stationary), str(failed), avg])
+    return _print_and_write(
+        rows, args.out_dir, "facility_bench.csv",
+        f"nepsolve facility-bench runs={args.runs} seed={args.seed}",
     )
-    return EXIT_OK
 
 
-def cmd_diagnose(spec, box, samples):
+def cmd_diagnose(args):
     """Solve, then certify assumption constants and lemma bounds on the run."""
+    problem, report = _run(args)
+    box = (args.box_low, args.box_high)
     try:
-        problem = get_problem(spec.problem_id)
-    except UnknownProblemId as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNKNOWN_PROBLEM
-    x1, x2 = resolve_x0(problem, spec.problem_id, spec.x0)
-    report = run_solver(problem, spec.solver, x1, x2, spec.config)
-
-    estimates = estimate_assumptions(problem, box, samples, spec.seed)
+        estimates = estimate_assumptions(problem, box, args.samples, args.seed)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
     payload = {
-        "problem": spec.problem_id,
-        "solver": spec.solver,
+        "problem": args.problem,
+        "solver": args.solver,
         "status": report.status.value,
         "iterations": report.iterations,
         "box": [float(box[0]), float(box[1])],
-        "samples": samples,
+        "samples": args.samples,
         "estimates": estimates.to_dict(),
         "converged_in_one_iteration": report.status is SolveStatus.CONVERGED
         and report.iterations == 1,
@@ -364,8 +331,7 @@ def cmd_diagnose(spec, box, samples):
             }
         )
         print(lemma_report)
-    out = _out_dir(spec.out_dir)
-    path = os.path.join(out, f"{spec.problem_id}_{spec.solver}_diagnose.json")
+    path = os.path.join(_out_dir(args.out_dir), f"{args.problem}_{args.solver}_diagnose.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)
     print(f"wrote {path}")
@@ -376,6 +342,16 @@ def cmd_diagnose(spec, box, samples):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+#: the SolverConfig fields settable from the command line, as --grad-tol etc.
+_CONFIG_FLAGS = (
+    ("grad_tol", float),
+    ("max_iter", int),
+    ("alpha", float),
+    ("theta", float),
+    ("gamma", float),
+    ("tau", float),
+)
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -383,116 +359,62 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_config_flags(p):
-    p.add_argument("--grad-tol", type=float, default=None)
-    p.add_argument("--max-iter", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None)
-
-
 def _config_from_args(args, base=None):
-    config = base or SolverConfig()
     overrides = {
-        name: getattr(args, flag)
-        for name, flag in (
-            ("grad_tol", "grad_tol"),
-            ("max_iter", "max_iter"),
-            ("alpha", "alpha"),
-            ("theta", "theta"),
-            ("gamma", "gamma"),
-            ("tau", "tau"),
-        )
-        if getattr(args, flag) is not None
+        name: getattr(args, name) for name, _ in _CONFIG_FLAGS if getattr(args, name) is not None
     }
-    return replace(config, **overrides) if overrides else config
+    try:
+        return replace(base or SolverConfig(), **overrides)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def build_parser():
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out-dir", default=None)
+    config = argparse.ArgumentParser(add_help=False)
+    for name, type_ in _CONFIG_FLAGS:
+        config.add_argument("--" + name.replace("_", "-"), type=type_, default=None)
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("--problem", required=True)
+    run.add_argument("--solver", choices=SOLVERS, default="descent-newton")
+    run.add_argument("--x0", default="paper", help='comma-separated or "paper"')
+
     parser = _Parser(prog="nepsolve", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="run one solver on one problem")
-    p_solve.add_argument("--problem", required=True)
-    p_solve.add_argument("--solver", choices=SOLVERS, default="descent-newton")
-    p_solve.add_argument("--x0", default="paper", help='comma-separated or "paper"')
-    p_solve.add_argument("--seed", type=int, default=0)
-    p_solve.add_argument("--out-dir", default=None)
-    _add_config_flags(p_solve)
+    p = sub.add_parser("solve", parents=[run, config, common], help="run one solver on one problem")
+    p.set_defaults(cmd=cmd_solve)
 
-    p_table = sub.add_parser("table1", help="five-example comparison table")
-    p_table.add_argument("--out-dir", default=None)
+    p = sub.add_parser("table1", parents=[common], help="five-example comparison table")
+    p.set_defaults(cmd=cmd_table1)
 
-    p_bench = sub.add_parser("facility-bench", help="random-start facility study")
-    p_bench.add_argument("--runs", type=int, default=100)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument(
-        "--solvers", default="descent-newton,newton-kkt", help="comma-separated list"
-    )
-    p_bench.add_argument("--out-dir", default=None)
-    _add_config_flags(p_bench)
+    p = sub.add_parser("facility-bench", parents=[config, common], help="random-start facility study")
+    p.add_argument("--runs", type=int, default=100)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--solvers", default="descent-newton,newton-kkt", help="comma-separated list")
+    p.set_defaults(cmd=cmd_facility_bench)
 
-    p_diag = sub.add_parser("diagnose", help="solve plus certificates")
-    p_diag.add_argument("--problem", required=True)
-    p_diag.add_argument("--solver", choices=SOLVERS, default="descent-newton")
-    p_diag.add_argument("--x0", default="paper")
-    p_diag.add_argument("--seed", type=int, default=0)
-    p_diag.add_argument("--box-low", type=float, default=-5.0)
-    p_diag.add_argument("--box-high", type=float, default=5.0)
-    p_diag.add_argument("--samples", type=int, default=50)
-    p_diag.add_argument("--out-dir", default=None)
-    _add_config_flags(p_diag)
+    p = sub.add_parser("diagnose", parents=[run, config, common], help="solve plus certificates")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--box-low", type=float, default=-5.0)
+    p.add_argument("--box-high", type=float, default=5.0)
+    p.add_argument("--samples", type=int, default=50)
+    p.set_defaults(cmd=cmd_diagnose)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        if args.command == "solve":
-            spec = RunSpec(
-                problem_id=args.problem,
-                solver=args.solver,
-                x0=args.x0,
-                config=_config_from_args(args),
-                seed=args.seed,
-                out_dir=args.out_dir,
-            )
-            return cmd_solve(spec)
-        if args.command == "table1":
-            return cmd_table1(out_dir=args.out_dir)
-        if args.command == "facility-bench":
-            solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
-            for s in solvers:
-                if s not in SOLVERS:
-                    raise UsageError(f"unknown solver {s!r}")
-            # The published study's tolerance, plus an escape radius: a
-            # facility 100+ units from every client has walked off into the
-            # flat tail where gradients vanish without any equilibrium.
-            base = SolverConfig(grad_tol=1e-6, divergence_radius=100.0)
-            return cmd_facility_bench(
-                runs=args.runs,
-                seed=args.seed,
-                solvers=solvers,
-                config=_config_from_args(args, base=base),
-                out_dir=args.out_dir,
-            )
-        if args.command == "diagnose":
-            spec = RunSpec(
-                problem_id=args.problem,
-                solver=args.solver,
-                x0=args.x0,
-                config=_config_from_args(args),
-                seed=args.seed,
-                out_dir=args.out_dir,
-            )
-            return cmd_diagnose(spec, (args.box_low, args.box_high), args.samples)
+        return args.cmd(args)
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
+    except UnknownProblemId as err:
+        print(f"error: {err}", file=sys.stderr)
+        return EXIT_UNKNOWN_PROBLEM
 
 
 if __name__ == "__main__":

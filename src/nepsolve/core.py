@@ -229,16 +229,18 @@ class PointClass:
     min_eig_2: float
 
 
-def classify_point(problem, x1, x2, tol, eps_psd=1e-8):
+def classify_point(problem, x1, x2, tol, eps_psd=1e-8, res=None):
     """Classify (x1, x2) as equilibrium candidate / stationary / neither.
 
     A point is an equilibrium candidate when the residual norm is within tol
     and both per-player Hessian blocks are positive semidefinite up to
-    eps_psd (second-order necessary conditions).
+    eps_psd (second-order necessary conditions). The residual at (x1, x2)
+    may be passed in to avoid evaluating it again.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    res = evaluate_residual(problem, x1, x2)
+    if res is None:
+        res = evaluate_residual(problem, x1, x2)
     h11 = problem.hessian11(x1, x2)
     h22 = problem.hessian22(x1, x2)
     if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):

@@ -62,6 +62,8 @@ def _box_bounds(box, n):
     lo, hi = box
     lo = np.broadcast_to(np.asarray(lo, dtype=float), (n,))
     hi = np.broadcast_to(np.asarray(hi, dtype=float), (n,))
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError("box bounds must be finite")
     if np.any(hi <= lo):
         raise ValueError("box upper bounds must exceed lower bounds")
     return lo, hi

@@ -82,10 +82,11 @@ class SolverConfig:
             raise ValueError("alpha must lie in (0, 1)")
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
+        # the comparisons are negated so that NaN fails them too
         for name in ("theta", "gamma", "grad_tol", "t_min", "divergence_radius", "chol_floor", "eps_psd"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if self.eps_stationary < 0:
+        if not self.eps_stationary >= 0:
             raise ValueError("eps_stationary must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
@@ -343,7 +344,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             if res.norm <= config.grad_tol:
                 status = SolveStatus.CONVERGED
                 classification = classify_point(
-                    problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd
+                    problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd, res=res
                 )
                 break
             if len(trajectory) >= config.max_iter:

@@ -314,9 +314,12 @@ def get_problem(problem_id):
             _, seed_s, dims = problem_id.split(":")
             n1_s, n2_s = dims.split("x")
             seed, n1, n2 = int(seed_s), int(n1_s), int(n2_s)
+            if seed < 0 or n1 < 1 or n2 < 1:
+                raise ValueError(problem_id)
         except ValueError:
             raise UnknownProblemId(
-                f"malformed quadratic id {problem_id!r}, expected quadratic:<seed>:<n1>x<n2>"
+                f"malformed quadratic id {problem_id!r}, expected quadratic:<seed>:<n1>x<n2> "
+                "with seed >= 0 and n1, n2 >= 1"
             ) from None
         return random_quadratic_nep(n1, n2, seed).to_problem(name=problem_id)
     raise UnknownProblemId(f"unknown problem id {problem_id!r}")

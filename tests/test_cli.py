@@ -1,10 +1,12 @@
 import csv
 import json
 import os
+import types
 
 import numpy as np
 import pytest
 
+import nepsolve.cli as cli
 from nepsolve.cli import main
 
 
@@ -56,10 +58,89 @@ def test_solve_bad_x0_exit_code(tmp_path):
     assert code == 64
 
 
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["solve", "--problem", "examp1", "--alpha", "2"], 64),
+        (["solve", "--problem", "examp1", "--max-iter", "0"], 64),
+        (["solve", "--problem", "examp1", "--grad-tol", "nan"], 64),
+        (["solve", "--problem", "examp1", "--x0", "nan,1"], 64),
+        (["solve", "--problem", "examp1", "--x0", "inf,1"], 64),
+        (["solve", "--problem", "quadratic:0:0x3"], 65),
+        (["solve", "--problem", "quadratic:-1:2x2"], 65),
+        (["facility-bench", "--runs", "-1"], 64),
+        (["facility-bench", "--runs", "1", "--seed", "-1"], 64),
+        (["facility-bench", "--runs", "1", "--tau", "0"], 64),
+        (["diagnose", "--problem", "examp1", "--samples", "1"], 64),
+        (["diagnose", "--problem", "examp1", "--box-low", "5", "--box-high", "5"], 64),
+        (["diagnose", "--problem", "examp1", "--box-low", "nan"], 64),
+        (["diagnose", "--problem", "examp1", "--box-high", "inf"], 64),
+        (["diagnose", "--problem", "examp1", "--seed", "-1"], 64),
+        (["diagnose", "--problem", "examp1", "--alpha", "2"], 64),
+    ],
+)
+def test_bad_input_exit_code_writes_nothing(tmp_path, capsys, args, code):
+    assert run_cli(args, tmp_path)[0] == code
+    assert not (tmp_path / "out").exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+#: nepsolve.cli module globals that bench/tracing.py replaces while tracing;
+#: the CLI must look each of them up by name when it calls it
+TRACED_GLOBALS = (
+    "solve",
+    "solve_newton_kkt",
+    "solve_exact_jacobi",
+    "get_problem",
+    "report_to_dict",
+    "trajectory_csv_rows",
+    "_write_csv",
+    "json",
+    "estimate_assumptions",
+    "verify_lemma_bounds",
+)
+
+
+def test_traced_globals_exist():
+    for name in TRACED_GLOBALS:
+        assert hasattr(cli, name), name
+
+
+def test_solve_looks_up_patched_globals(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(name):
+        original = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, wrapper)
+
+    def dump(*args, **kwargs):
+        seen.append("json")
+        return json.dump(*args, **kwargs)
+
+    for name in TRACED_GLOBALS:
+        if name != "json":
+            spy(name)
+    # the tracer swaps the json module for a namespace with a timed dump
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dump=dump))
+    run_cli(["solve", "--problem", "examp1"], tmp_path)
+    run_cli(["diagnose", "--problem", "examp1", "--samples", "2"], tmp_path)
+    run_cli(["solve", "--problem", "examp1", "--solver", "newton-kkt"], tmp_path)
+    run_cli(["solve", "--problem", "examp1", "--solver", "exact-jacobi"], tmp_path)
+    assert set(seen) == set(TRACED_GLOBALS)
+    assert seen[:2] == ["get_problem", "solve"]
+
+
 def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as err:
-        main(["solve", "--no-such-flag"])
-    assert err.value.code == 64
+    # solve has no --seed: its runs use no randomness
+    for args in (["solve", "--no-such-flag"], ["solve", "--problem", "examp1", "--seed", "1"]):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 64
 
 
 def test_jacobi_undefined_exit_code(tmp_path):

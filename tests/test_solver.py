@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from nepsolve import (
     random_quadratic_nep,
     safeguard_mixed_blocks,
     solve,
+    solve_newton_kkt,
 )
 from nepsolve.linalg import assemble_block_system
 from nepsolve.solver import Direction, build_surrogates
@@ -28,6 +31,9 @@ def test_config_validation():
         SolverConfig(tau=1.5)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
+    for name in ("theta", "gamma", "grad_tol", "eps_stationary"):
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: np.nan})
     with pytest.raises(ValueError):
         SolverConfig(hessian_strategy=HessianStrategy.USER_SUPPLIED)
     # user Hessians must be finite, square, symmetric 2-D arrays
@@ -332,3 +338,36 @@ def test_line_search_failure_status():
     report = solve(make_example(1), [-5.0], [1.0], SolverConfig(theta=2.0))
     assert report.status is SolveStatus.LINE_SEARCH_FAILURE
     assert report.trajectory == ()
+
+
+def _count_gradient_calls(problem):
+    """The same problem with its two gradient oracles counted."""
+    calls = {"grad1": 0, "grad2": 0}
+
+    def counted(name):
+        oracle = getattr(problem, name)
+
+        def wrapper(x1, x2):
+            calls[name] += 1
+            return oracle(x1, x2)
+
+        return wrapper
+
+    return dataclasses.replace(problem, grad1=counted("grad1"), grad2=counted("grad2")), calls
+
+
+def test_residual_evaluated_once_per_iterate():
+    # newton-kkt needs the gradients only for the residual, which the run
+    # loop evaluates once per iterate and hands to the step and to the
+    # final classification
+    problem, calls = _count_gradient_calls(make_example(5))
+    report = solve_newton_kkt(problem, [-5.0], [1.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert calls == {"grad1": report.iterations + 1, "grad2": report.iterations + 1}
+
+    # one descent step: residual at x0, the predicted gradients of the
+    # accepted trial, residual at x1 (reused by the classification)
+    problem, calls = _count_gradient_calls(make_example(1))
+    report = solve(problem, [-5.0], [1.0])
+    assert report.status is SolveStatus.CONVERGED and report.iterations == 1
+    assert calls == {"grad1": 3, "grad2": 3}

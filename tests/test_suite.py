@@ -180,5 +180,6 @@ def test_registry_ids_resolve():
 def test_registry_rejects_unknown_and_malformed():
     with pytest.raises(UnknownProblemId):
         get_problem("examp9")
-    with pytest.raises(UnknownProblemId):
-        get_problem("quadratic:7:2by3")
+    for bad in ("quadratic:7:2by3", "quadratic:0:0x3", "quadratic:-1:2x2"):
+        with pytest.raises(UnknownProblemId):
+            get_problem(bad)
