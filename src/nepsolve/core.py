@@ -2,8 +2,8 @@
 
 A problem is a pair of smooth objectives f1(x1, x2), f2(x1, x2), each player
 minimizing over their own block. Analytic derivative oracles are optional;
-finite differences fill any gap and double as the cross-check used by the
-derivative validation diagnostics.
+central finite differences fill any gap and double as the cross-check used
+by the derivative validation diagnostics.
 """
 
 from dataclasses import dataclass, field
@@ -59,26 +59,35 @@ def finite_diff_gradient(f, x, h=None):
 
 
 def finite_diff_jacobian(g, x, h=None, out_dim=None):
-    """Forward-difference Jacobian of a vector function at x (out_dim x len(x))."""
+    """Central-difference Jacobian of a vector function at x (out_dim x len(x)).
+
+    Column i is (g(x + h e_i) - g(x - h e_i)) / 2h; g is never evaluated at x
+    itself. The step defaults as in finite_diff_gradient.
+    """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if h is None:
         h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
     if h <= 0:
         raise ValueError("finite difference step must be positive")
-    g0 = _require_finite(g(x), "gradient oracle")
-    if out_dim is None:
-        out_dim = g0.size
-    jac = np.empty((out_dim, x.size))
+    jac = None if out_dim is None else np.empty((out_dim, x.size))
     for i in range(x.size):
         xp = x.copy()
+        xm = x.copy()
         xp[i] += h
+        xm[i] -= h
         gp = _require_finite(g(xp), "gradient oracle")
-        jac[:, i] = (gp - g0) / h
+        gm = _require_finite(g(xm), "gradient oracle")
+        if jac is None:
+            jac = np.empty((gp.size, x.size))
+        jac[:, i] = (gp - gm) / (2.0 * h)
+    if jac is None:
+        # empty x: only the output size is needed
+        jac = np.empty((_require_finite(g(x), "gradient oracle").size, 0))
     return jac
 
 
 def finite_diff_hessian_block(g, x_block, h=None, symmetrize=False):
-    """One block of a Hessian as the forward-difference Jacobian of a gradient.
+    """One block of a Hessian as the central-difference Jacobian of a gradient.
 
     With symmetrize=True the result is replaced by (M + M^T)/2, appropriate
     for the per-player diagonal blocks.
@@ -100,8 +109,9 @@ class NepProblem:
     own block; hess11/hess22 for the per-player second-derivative blocks;
     hess12_f1 for the n1 x n2 block of f1 mixing both variables; hess21_f2
     for the n2 x n1 mixed block of f2 (the one multiplying d1 in the second
-    row of the full Newton system). Missing oracles fall back to finite
-    differences.
+    row of the full Newton system). Missing oracles fall back to central
+    finite differences: of f1/f2 for a gradient, of the gradient oracle for
+    a Hessian block.
     """
 
     n1: int

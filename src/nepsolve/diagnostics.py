@@ -406,21 +406,27 @@ def partial_direction_sums(run):
 
 
 def validate_derivatives(problem, box, samples, seed, exclude=None):
-    """Cross-check analytic gradients against central finite differences.
+    """Cross-check analytic derivatives against central finite differences.
 
     Samples points in the box, skipping those for which exclude(x1, x2) is
-    true (e.g. near singularities). Returns the max relative errors,
+    true (e.g. near singularities). The gradients are compared with central
+    differences of f1/f2, and the four Hessian blocks with central
+    differences of the gradient oracles. Returns the max relative errors,
     measured as ||analytic - fd|| / max(1, ||analytic||), plus the worst
     per-player Hessian asymmetry.
     """
-    from .core import finite_diff_gradient
+    from .core import finite_diff_gradient, finite_diff_jacobian
 
     n1, n2 = problem.n1, problem.n2
     lo, hi = _box_bounds(box, n1 + n2)
     rng = np.random.default_rng(seed)
 
-    err1 = 0.0
-    err2 = 0.0
+    def rel_err(analytic, fd):
+        return float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
+
+    errs = dict.fromkeys(
+        ("grad1", "grad2", "hess11", "hess22", "mixed12", "mixed21"), 0.0
+    )
     asym = 0.0
     kept = 0
     while kept < samples:
@@ -429,20 +435,34 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
         if exclude is not None and exclude(x1, x2):
             continue
         kept += 1
-        a1 = problem.gradient1(x1, x2)
-        a2 = problem.gradient2(x1, x2)
-        fd1 = finite_diff_gradient(lambda z: problem.f1(z, x2), x1)
-        fd2 = finite_diff_gradient(lambda z: problem.f2(x1, z), x2)
-        err1 = max(err1, np.linalg.norm(a1 - fd1) / max(1.0, np.linalg.norm(a1)))
-        err2 = max(err2, np.linalg.norm(a2 - fd2) / max(1.0, np.linalg.norm(a2)))
         h11 = problem.hessian11(x1, x2)
         h22 = problem.hessian22(x1, x2)
+        pairs = {
+            "grad1": (
+                problem.gradient1(x1, x2),
+                finite_diff_gradient(lambda z: problem.f1(z, x2), x1),
+            ),
+            "grad2": (
+                problem.gradient2(x1, x2),
+                finite_diff_gradient(lambda z: problem.f2(x1, z), x2),
+            ),
+            "hess11": (h11, finite_diff_jacobian(lambda z: problem.gradient1(z, x2), x1)),
+            "hess22": (h22, finite_diff_jacobian(lambda z: problem.gradient2(x1, z), x2)),
+            "mixed12": (
+                problem.mixed12_f1(x1, x2),
+                finite_diff_jacobian(lambda z: problem.gradient1(x1, z), x2),
+            ),
+            "mixed21": (
+                problem.mixed21_f2(x1, x2),
+                finite_diff_jacobian(lambda z: problem.gradient2(z, x2), x1),
+            ),
+        }
+        for key, (analytic, fd) in pairs.items():
+            errs[key] = max(errs[key], rel_err(analytic, fd))
         for h in (h11, h22):
             scale = max(1.0, float(np.max(np.abs(h))))
             asym = max(asym, float(np.max(np.abs(h - h.T))) / scale)
-    return {
-        "max_rel_err_grad1": float(err1),
-        "max_rel_err_grad2": float(err2),
-        "max_hessian_asymmetry": float(asym),
-        "samples": kept,
-    }
+    report = {f"max_rel_err_{key}": err for key, err in errs.items()}
+    report["max_hessian_asymmetry"] = float(asym)
+    report["samples"] = kept
+    return report

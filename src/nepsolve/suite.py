@@ -154,11 +154,16 @@ class FacilityInstance:
         object.__setattr__(self, "profits2", p2)
 
 
-def _facility_value(b, own, other, clients):
+def _facility_sq_dists(own, other, clients):
     du = own - clients
     dv = other - clients
     u = np.einsum("ij,ij->i", du, du)
     v = np.einsum("ij,ij->i", dv, dv)
+    return du, dv, u, v
+
+
+def _facility_value(b, own, other, clients):
+    _, _, u, v = _facility_sq_dists(own, other, clients)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals = b * u / (u + v)
     return float(np.sum(vals))
@@ -166,21 +171,36 @@ def _facility_value(b, own, other, clients):
 
 def _facility_grad_own(b, own, other, clients):
     # d/d own of sum_j b_j u_j / (u_j + v_j) = sum_j b_j 2 (own - z_j) v_j / (u_j + v_j)^2
-    du = own - clients
-    dv = other - clients
-    u = np.einsum("ij,ij->i", du, du)
-    v = np.einsum("ij,ij->i", dv, dv)
+    du, _, u, v = _facility_sq_dists(own, other, clients)
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 2.0 * b * v / (u + v) ** 2
     return (w[:, None] * du).sum(axis=0)
 
 
+def _facility_hess_own(b, own, other, clients):
+    # d/d own of the own gradient: sum_j (2 b_j v_j / s_j^2) I - (8 b_j v_j / s_j^3) du_j du_j^T
+    du, _, u, v = _facility_sq_dists(own, other, clients)
+    s = u + v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 2.0 * b * v / s**2
+        c = 8.0 * b * v / s**3
+    return w.sum() * np.eye(own.size) - (c[:, None] * du).T @ du
+
+
+def _facility_hess_mixed(b, own, other, clients):
+    # d/d other of the own gradient: sum_j 4 b_j (u_j - v_j) / s_j^3 du_j dv_j^T
+    du, dv, u, v = _facility_sq_dists(own, other, clients)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = 4.0 * b * (u - v) / (u + v) ** 3
+    return (c[:, None] * du).T @ dv
+
+
 def make_facility(instance):
     """Competitive facility location game for a client/profit instance.
 
-    Objectives and gradients are analytic; the four second-derivative blocks
-    fall back to finite differences of the gradients. The objectives are
-    undefined (non-finite) when both facilities sit exactly on one client.
+    Objectives, gradients and all four second-derivative blocks are
+    analytic. They are undefined (non-finite) when both facilities sit
+    exactly on one client.
     """
     z = instance.clients
     b1 = instance.profits1
@@ -192,6 +212,10 @@ def make_facility(instance):
         f2=lambda x1, x2: _facility_value(b2, x2, x1, z),
         grad1=lambda x1, x2: _facility_grad_own(b1, x1, x2, z),
         grad2=lambda x1, x2: _facility_grad_own(b2, x2, x1, z),
+        hess11=lambda x1, x2: _facility_hess_own(b1, x1, x2, z),
+        hess22=lambda x1, x2: _facility_hess_own(b2, x2, x1, z),
+        hess12_f1=lambda x1, x2: _facility_hess_mixed(b1, x1, x2, z),
+        hess21_f2=lambda x1, x2: _facility_hess_mixed(b2, x2, x1, z),
         name=f"facility{instance.dim}d",
     )
 

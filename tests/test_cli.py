@@ -219,6 +219,20 @@ def test_facility_bench_single_run(tmp_path, capsys):
     assert counts[0] == 1  # this seed's start converges to an equilibrium
 
 
+def test_facility_bench_study_answer(tmp_path):
+    # the paper's random-start study: the outcome histogram and the average
+    # iteration counts are pinned, so any change to them shows here
+    code, out = run_cli(["facility-bench", "--runs", "100", "--seed", "0"], tmp_path)
+    assert code == 0
+    rows = read_csv(out / "facility_bench.csv")
+    assert [r[:4] for r in rows[1:]] == [
+        ["descent-newton", "98", "2", "0"],
+        ["newton-kkt", "4", "0", "96"],
+    ]
+    assert float(rows[1][4]) == pytest.approx(7.36, abs=1e-12)
+    assert float(rows[2][4]) == pytest.approx(5.75, abs=1e-12)
+
+
 def test_facility_bench_unknown_solver(tmp_path):
     code, _ = run_cli(
         ["facility-bench", "--runs", "1", "--solvers", "nosuch"], tmp_path

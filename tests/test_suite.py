@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import nepsolve.core
 from nepsolve import (
     FacilityInstance,
+    NepProblem,
     NonFiniteEvaluation,
     PointKind,
     SolveStatus,
@@ -16,8 +18,12 @@ from nepsolve import (
     modified_cholesky,
     random_quadratic_nep,
     solve,
+    solve_newton_kkt,
     validate_derivatives,
 )
+from nepsolve.cli import resolve_x0
+from nepsolve.core import finite_diff_jacobian
+from nepsolve.linalg import _is_symmetric
 
 KNOWN_EQUILIBRIA = {
     1: (2.0, 1.0),
@@ -65,6 +71,64 @@ def test_example_derivatives_match_finite_differences(example_id):
     assert report["max_hessian_asymmetry"] <= 1e-10
 
 
+HESSIAN_ERROR_KEYS = (
+    "max_rel_err_hess11",
+    "max_rel_err_hess22",
+    "max_rel_err_mixed12",
+    "max_rel_err_mixed21",
+)
+
+
+def near_client(clients, radius=0.05):
+    """exclude= predicate for points within radius of a client, where the
+    facility objectives are singular."""
+
+    def near(x1, x2):
+        d1 = np.min(np.linalg.norm(clients - x1, axis=1))
+        d2 = np.min(np.linalg.norm(clients - x2, axis=1))
+        return bool(min(d1, d2) < radius)
+
+    return near
+
+
+@pytest.mark.parametrize(
+    "problem_id",
+    ["examp1", "examp2", "examp3", "examp4", "examp5", "facility1d", "facility2d", "quadratic:11:3x2"],
+)
+def test_hessian_blocks_match_central_differences(problem_id):
+    problem = get_problem(problem_id)
+    exclude = None
+    if problem_id.startswith("facility"):
+        clients = {
+            "facility1d": np.array([[1.0], [-1.0], [3.0]]),
+            "facility2d": np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+        }[problem_id]
+        exclude = near_client(clients)
+    report = validate_derivatives(problem, box=(-5.0, 5.0), samples=50, seed=123, exclude=exclude)
+    for key in HESSIAN_ERROR_KEYS:
+        assert report[key] <= 1e-5, (problem_id, key, report[key])
+
+
+def test_validate_derivatives_flags_wrong_mixed_block():
+    good = make_example(1)
+    wrong = NepProblem(
+        n1=1,
+        n2=1,
+        f1=good.f1,
+        f2=good.f2,
+        grad1=good.grad1,
+        grad2=good.grad2,
+        hess11=good.hess11,
+        hess22=good.hess22,
+        hess12_f1=lambda x1, x2: np.array([[2.0]]),  # the true block is [[1.0]]
+        hess21_f2=good.hess21_f2,
+    )
+    report = validate_derivatives(wrong, box=(-5.0, 5.0), samples=10, seed=0)
+    assert report["max_rel_err_mixed12"] >= 0.4
+    for key in ("max_rel_err_hess11", "max_rel_err_hess22", "max_rel_err_mixed21"):
+        assert report[key] <= 1e-5
+
+
 # ---------------------------------------------------------------------------
 # facility location
 # ---------------------------------------------------------------------------
@@ -102,6 +166,54 @@ def test_facility_gradient_matches_finite_differences():
     )
     assert report["max_rel_err_grad1"] <= 1e-5
     assert report["max_rel_err_grad2"] <= 1e-5
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_facility_hessian_blocks_closed_form(dim):
+    # asymmetric profits, so the two players' blocks differ
+    rng = np.random.default_rng(21 + dim)
+    clients = rng.uniform(-2.0, 2.0, size=(4, dim))
+    instance = FacilityInstance(
+        dim=dim,
+        clients=clients,
+        profits1=np.array([1.0, 2.0, 3.0, 0.5]),
+        profits2=np.array([2.0, 1.0, 1.0, 4.0]),
+    )
+    problem = make_facility(instance)
+    near = near_client(clients, radius=0.1)
+    checked = 0
+    while checked < 50:
+        x1, x2 = rng.uniform(-3.0, 3.0, size=(2, dim))
+        if near(x1, x2):
+            continue
+        checked += 1
+        blocks = [
+            (problem.hessian11(x1, x2), lambda z: problem.gradient1(z, x2), x1),
+            (problem.hessian22(x1, x2), lambda z: problem.gradient2(x1, z), x2),
+            (problem.mixed12_f1(x1, x2), lambda z: problem.gradient1(x1, z), x2),
+            (problem.mixed21_f2(x1, x2), lambda z: problem.gradient2(z, x2), x1),
+        ]
+        for block, grad, at in blocks:
+            assert block.shape == (dim, dim)
+            cd = finite_diff_jacobian(grad, at)
+            assert np.linalg.norm(block - cd) <= 1e-6 * max(1.0, np.linalg.norm(block))
+        assert _is_symmetric(blocks[0][0]) and _is_symmetric(blocks[1][0])
+
+
+@pytest.mark.parametrize("problem_id", ["facility1d", "facility2d"])
+def test_facility_solves_use_no_finite_differences(problem_id, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences used on a facility problem")
+
+    monkeypatch.setattr(nepsolve.core, "finite_diff_jacobian", forbidden)
+    monkeypatch.setattr(nepsolve.core, "finite_diff_gradient", forbidden)
+    problem = get_problem(problem_id)
+    x1, x2 = resolve_x0(problem, problem_id, "paper")
+    for run in (solve, solve_newton_kkt):
+        report = run(problem, x1, x2)
+        assert report.status is SolveStatus.CONVERGED
+        cls = classify_point(problem, report.final_x1, report.final_x2, tol=1e-4)
+        assert cls.kind is report.classification.kind
 
 
 def test_facility_undefined_at_client_collision():
