@@ -11,8 +11,7 @@ from .core import (
     Residual,
     classify_point,
     evaluate_residual,
-    finite_diff_gradient,
-    finite_diff_hessian_block,
+    finite_diff_jacobian,
 )
 from .linalg import (
     DimensionMismatch,

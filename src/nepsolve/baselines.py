@@ -6,8 +6,11 @@ import numpy as np
 
 from .core import InnerSolveFailure, NonFiniteEvaluation, evaluate_residual
 from .core import classify_point  # noqa: F401  (looked up here by the benchmark's tracer)
-from .linalg import SingularMatrixError, lu_solve
+from .linalg import SingularMatrixError, assemble_block_system, lu_solve
 from .solver import _drive
+
+#: gradient-norm tolerance of the per-player stationarity solves of exact-jacobi
+INNER_TOL = 1e-10
 
 
 def newton_kkt_step(problem, x1, x2, res=None):
@@ -19,11 +22,12 @@ def newton_kkt_step(problem, x1, x2, res=None):
     """
     if res is None:
         res = evaluate_residual(problem, x1, x2)
-    K = np.block(
-        [
-            [problem.hessian11(x1, x2), problem.mixed12_f1(x1, x2)],
-            [problem.mixed21_f2(x1, x2), problem.hessian22(x1, x2)],
-        ]
+    K = assemble_block_system(
+        problem.hessian11(x1, x2),
+        problem.hessian22(x1, x2),
+        problem.mixed12_f1(x1, x2),
+        problem.mixed21_f2(x1, x2),
+        1.0,
     )
     if not np.all(np.isfinite(K)):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
@@ -72,26 +76,25 @@ def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
     raise InnerSolveFailure("inner Newton did not converge")
 
 
-def exact_jacobi_step(problem, x1, x2, inner_tol=1e-10):
+def exact_jacobi_step(problem, x1, x2):
     """One simultaneous best-response-style update.
 
     x1_new solves grad of f1(., x2) = 0 and x2_new solves grad of
     f2(x1, .) = 0, both from the current coordinates against the opponent's
-    *current* decision; the pair is then adopted jointly.
+    *current* decision; the pair is then adopted jointly. Each solve stops
+    at gradient norm INNER_TOL.
     """
-    if inner_tol <= 0:
-        raise ValueError("inner_tol must be positive")
     x1_new = _inner_newton_root(
         lambda z: problem.gradient1(z, x2),
         lambda z: problem.hessian11(z, x2),
         x1,
-        inner_tol,
+        INNER_TOL,
     )
     x2_new = _inner_newton_root(
         lambda z: problem.gradient2(x1, z),
         lambda z: problem.hessian22(x1, z),
         x2,
-        inner_tol,
+        INNER_TOL,
     )
     return x1_new, x2_new
 
@@ -115,7 +118,7 @@ def solve_newton_kkt(problem, x0_1, x0_2, config=None):
     return _drive(problem, x0_1, x0_2, config, step, "newton-kkt")
 
 
-def solve_exact_jacobi(problem, x0_1, x0_2, config=None, inner_tol=1e-10):
+def solve_exact_jacobi(problem, x0_1, x0_2, config=None):
     """Iterate simultaneous per-player stationarity solves until termination.
 
     An undefined or failed per-player solve (e.g. a null per-player Hessian)
@@ -123,6 +126,6 @@ def solve_exact_jacobi(problem, x0_1, x0_2, config=None, inner_tol=1e-10):
     """
 
     def step(x1, x2, res):
-        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2, inner_tol=inner_tol))
+        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2))
 
     return _drive(problem, x0_1, x0_2, config, step, "exact-jacobi")

@@ -61,6 +61,14 @@ PAPER_STARTS = {
     "facility2d": (2.0, 3.0, -3.0, 2.0),
 }
 
+#: escape radius per problem, in force on every run of it: a facility 100+
+#: units from every client has walked off into the flat tail, where the
+#: gradients vanish without any equilibrium
+ESCAPE_RADII = {
+    "facility1d": 100.0,
+    "facility2d": 100.0,
+}
+
 
 class UsageError(ValueError):
     pass
@@ -178,10 +186,9 @@ def trajectory_csv_rows(problem, report):
     return rows
 
 
-def _write_csv(path, rows, comment=None):
+def _write_csv(path, rows, comment):
     with open(path, "w", newline="") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
+        fh.write(f"# {comment}\n")
         writer = csv.writer(fh)
         writer.writerows(rows)
 
@@ -201,9 +208,15 @@ def _print_and_write(rows, out_dir, filename, comment):
     return EXIT_OK
 
 
+def _base_config(problem_id, **fields):
+    """SolverConfig with the problem's escape radius, if it has one."""
+    radius = ESCAPE_RADII.get(problem_id, SolverConfig.divergence_radius)
+    return SolverConfig(divergence_radius=radius, **fields)
+
+
 def _run(args):
     """Run --solver on --problem from --x0 with the config flags."""
-    config = _config_from_args(args)
+    config = _config_from_args(args, base=_base_config(args.problem))
     problem = get_problem(args.problem)
     x1, x2 = resolve_x0(problem, args.problem, args.x0)
     return problem, run_solver(problem, args.solver, x1, x2, config)
@@ -266,10 +279,8 @@ def cmd_facility_bench(args):
             raise UsageError(f"unknown solver {s!r}")
     if args.runs < 0 or args.seed < 0:
         raise UsageError(f"--runs and --seed must be >= 0, got {args.runs} and {args.seed}")
-    # The published study's tolerance, plus an escape radius: a facility
-    # 100+ units from every client has walked off into the flat tail where
-    # gradients vanish without any equilibrium.
-    config = _config_from_args(args, base=SolverConfig(grad_tol=1e-6, divergence_radius=100.0))
+    # the published study's tolerance
+    config = _config_from_args(args, base=_base_config("facility2d", grad_tol=1e-6))
 
     problem = get_problem("facility2d")
     rng = np.random.default_rng(args.seed)
@@ -359,12 +370,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _config_from_args(args, base=None):
+def _config_from_args(args, base):
     overrides = {
         name: getattr(args, name) for name, _ in _CONFIG_FLAGS if getattr(args, name) is not None
     }
     try:
-        return replace(base or SolverConfig(), **overrides)
+        return replace(base, **overrides)
     except ValueError as err:
         raise UsageError(str(err)) from None
 

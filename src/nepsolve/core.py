@@ -12,6 +12,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+#: PSD tolerance of the final classification: a Hessian block counts as
+#: positive semidefinite when its smallest eigenvalue is at least -EPS_PSD
+EPS_PSD = 1e-8
+
 
 class NonFiniteEvaluation(RuntimeError):
     """An oracle produced NaN/Inf, or the objective is undefined at the point."""
@@ -35,68 +39,27 @@ def _require_finite(value, context):
     return arr
 
 
-def finite_diff_gradient(f, x, h=None):
-    """Central-difference gradient of a scalar function at x.
+def finite_diff_jacobian(g, x):
+    """Central-difference Jacobian of g at x, one row per output of g.
 
-    The step defaults to 1e-6 * max(1, ||x||_inf) so it stays meaningful on
-    large (divergent) iterates.
+    Column i is (g(x + h e_i) - g(x - h e_i)) / 2h, where the step
+    h = 1e-6 * max(1, ||x||_inf) stays meaningful on large (divergent)
+    iterates; g is never evaluated at x itself. A scalar g gives one row,
+    its gradient.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
-    grad = np.empty(x.size)
+    h = 1e-6 * max(1.0, float(np.max(np.abs(x))))
+    jac = None
     for i in range(x.size):
         xp = x.copy()
         xm = x.copy()
         xp[i] += h
         xm[i] -= h
-        fp = _require_finite(f(xp), "objective oracle")
-        fm = _require_finite(f(xm), "objective oracle")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad
-
-
-def finite_diff_jacobian(g, x, h=None, out_dim=None):
-    """Central-difference Jacobian of a vector function at x (out_dim x len(x)).
-
-    Column i is (g(x + h e_i) - g(x - h e_i)) / 2h; g is never evaluated at x
-    itself. The step defaults as in finite_diff_gradient.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if h is None:
-        h = 1e-6 * max(1.0, float(np.max(np.abs(x))) if x.size else 1.0)
-    if h <= 0:
-        raise ValueError("finite difference step must be positive")
-    jac = None if out_dim is None else np.empty((out_dim, x.size))
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        gp = _require_finite(g(xp), "gradient oracle")
-        gm = _require_finite(g(xm), "gradient oracle")
+        gp = _require_finite(g(xp), "oracle")
+        gm = _require_finite(g(xm), "oracle")
         if jac is None:
             jac = np.empty((gp.size, x.size))
         jac[:, i] = (gp - gm) / (2.0 * h)
-    if jac is None:
-        # empty x: only the output size is needed
-        jac = np.empty((_require_finite(g(x), "gradient oracle").size, 0))
-    return jac
-
-
-def finite_diff_hessian_block(g, x_block, h=None, symmetrize=False):
-    """One block of a Hessian as the central-difference Jacobian of a gradient.
-
-    With symmetrize=True the result is replaced by (M + M^T)/2, appropriate
-    for the per-player diagonal blocks.
-    """
-    jac = finite_diff_jacobian(g, x_block, h=h)
-    if symmetrize:
-        if jac.shape[0] != jac.shape[1]:
-            raise ValueError("only square blocks can be symmetrized")
-        jac = 0.5 * (jac + jac.T)
     return jac
 
 
@@ -109,9 +72,9 @@ class NepProblem:
     own block; hess11/hess22 for the per-player second-derivative blocks;
     hess12_f1 for the n1 x n2 block of f1 mixing both variables; hess21_f2
     for the n2 x n1 mixed block of f2 (the one multiplying d1 in the second
-    row of the full Newton system). Missing oracles fall back to central
-    finite differences: of f1/f2 for a gradient, of the gradient oracle for
-    a Hessian block.
+    row of the full Newton system). A missing oracle falls back to its
+    central difference, `finite_difference`: of f1/f2 for a gradient, of
+    the gradient accessor for a Hessian block (symmetrized for hess11/hess22).
     """
 
     n1: int
@@ -130,73 +93,66 @@ class NepProblem:
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("player dimensions must be >= 1")
 
+    def _point(self, x1, x2):
+        return _as_vector(x1, self.n1, "x1"), _as_vector(x2, self.n2, "x2")
+
+    def finite_difference(self, oracle, x1, x2):
+        """Central difference that stands in for the named optional oracle.
+
+        grad1/grad2 difference f1/f2; the Hessian blocks difference the
+        gradient accessors. The result is not symmetrized.
+        """
+        x1, x2 = self._point(x1, x2)
+        # oracle -> (function differenced, block it is differenced in)
+        g, x = {
+            "grad1": (lambda z: self.f1(z, x2), x1),
+            "grad2": (lambda z: self.f2(x1, z), x2),
+            "hess11": (lambda z: self.gradient1(z, x2), x1),
+            "hess22": (lambda z: self.gradient2(x1, z), x2),
+            "hess12_f1": (lambda z: self.gradient1(x1, z), x2),
+            "hess21_f2": (lambda z: self.gradient2(z, x2), x1),
+        }[oracle]
+        jac = finite_diff_jacobian(g, x)
+        return jac[0] if oracle in ("grad1", "grad2") else jac
+
+    def _derivative(self, oracle, x1, x2, shape):
+        fn = getattr(self, oracle)
+        if fn is None:
+            return self.finite_difference(oracle, x1, x2)
+        x1, x2 = self._point(x1, x2)
+        return shape(np.asarray(fn(x1, x2), dtype=float))
+
     # -- objective evaluation -------------------------------------------------
 
     def value1(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        return float(self.f1(x1, x2))
+        return float(self.f1(*self._point(x1, x2)))
 
     def value2(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        return float(self.f2(x1, x2))
+        return float(self.f2(*self._point(x1, x2)))
 
-    # -- first derivatives ----------------------------------------------------
+    # -- derivatives: the oracle, else its central difference ------------------
 
     def gradient1(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.grad1 is not None:
-            return np.atleast_1d(np.asarray(self.grad1(x1, x2), dtype=float))
-        return finite_diff_gradient(lambda z: self.f1(z, x2), x1)
+        return self._derivative("grad1", x1, x2, np.atleast_1d)
 
     def gradient2(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.grad2 is not None:
-            return np.atleast_1d(np.asarray(self.grad2(x1, x2), dtype=float))
-        return finite_diff_gradient(lambda z: self.f2(x1, z), x2)
-
-    # -- second derivative blocks ----------------------------------------------
+        return self._derivative("grad2", x1, x2, np.atleast_1d)
 
     def hessian11(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.hess11 is not None:
-            return np.atleast_2d(np.asarray(self.hess11(x1, x2), dtype=float))
-        return finite_diff_hessian_block(
-            lambda z: self.gradient1(z, x2), x1, symmetrize=True
-        )
+        h = self._derivative("hess11", x1, x2, np.atleast_2d)
+        return h if self.hess11 is not None else 0.5 * (h + h.T)
 
     def hessian22(self, x1, x2):
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.hess22 is not None:
-            return np.atleast_2d(np.asarray(self.hess22(x1, x2), dtype=float))
-        return finite_diff_hessian_block(
-            lambda z: self.gradient2(x1, z), x2, symmetrize=True
-        )
+        h = self._derivative("hess22", x1, x2, np.atleast_2d)
+        return h if self.hess22 is not None else 0.5 * (h + h.T)
 
     def mixed12_f1(self, x1, x2):
         """n1 x n2 mixed block of f1 (derivative of grad1 w.r.t. x2)."""
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.hess12_f1 is not None:
-            return np.atleast_2d(np.asarray(self.hess12_f1(x1, x2), dtype=float))
-        return finite_diff_jacobian(
-            lambda z: self.gradient1(x1, z), x2, out_dim=self.n1
-        )
+        return self._derivative("hess12_f1", x1, x2, np.atleast_2d)
 
     def mixed21_f2(self, x1, x2):
         """n2 x n1 mixed block of f2 (derivative of grad2 w.r.t. x1)."""
-        x1 = _as_vector(x1, self.n1, "x1")
-        x2 = _as_vector(x2, self.n2, "x2")
-        if self.hess21_f2 is not None:
-            return np.atleast_2d(np.asarray(self.hess21_f2(x1, x2), dtype=float))
-        return finite_diff_jacobian(
-            lambda z: self.gradient2(z, x2), x1, out_dim=self.n2
-        )
+        return self._derivative("hess21_f2", x1, x2, np.atleast_2d)
 
 
 @dataclass(frozen=True)
@@ -239,12 +195,12 @@ class PointClass:
     min_eig_2: float
 
 
-def classify_point(problem, x1, x2, tol, eps_psd=1e-8, res=None):
+def classify_point(problem, x1, x2, tol, res=None):
     """Classify (x1, x2) as equilibrium candidate / stationary / neither.
 
     A point is an equilibrium candidate when the residual norm is within tol
     and both per-player Hessian blocks are positive semidefinite up to
-    eps_psd (second-order necessary conditions). The residual at (x1, x2)
+    EPS_PSD (second-order necessary conditions). The residual at (x1, x2)
     may be passed in to avoid evaluating it again.
     """
     if tol <= 0:
@@ -259,7 +215,7 @@ def classify_point(problem, x1, x2, tol, eps_psd=1e-8, res=None):
     min2 = float(np.min(np.linalg.eigvalsh(0.5 * (h22 + h22.T))))
     if res.norm > tol:
         kind = PointKind.NON_STATIONARY
-    elif min1 >= -eps_psd and min2 >= -eps_psd:
+    elif min1 >= -EPS_PSD and min2 >= -EPS_PSD:
         kind = PointKind.EQUILIBRIUM_CANDIDATE
     else:
         kind = PointKind.NON_EQUILIBRIUM_STATIONARY

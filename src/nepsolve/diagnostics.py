@@ -405,28 +405,33 @@ def partial_direction_sums(run):
 # ---------------------------------------------------------------------------
 
 
+#: report key -> (accessor of NepProblem, oracle whose central difference it is checked against)
+_DERIVATIVES = {
+    "grad1": ("gradient1", "grad1"),
+    "grad2": ("gradient2", "grad2"),
+    "hess11": ("hessian11", "hess11"),
+    "hess22": ("hessian22", "hess22"),
+    "mixed12": ("mixed12_f1", "hess12_f1"),
+    "mixed21": ("mixed21_f2", "hess21_f2"),
+}
+
+
 def validate_derivatives(problem, box, samples, seed, exclude=None):
     """Cross-check analytic derivatives against central finite differences.
 
     Samples points in the box, skipping those for which exclude(x1, x2) is
-    true (e.g. near singularities). The gradients are compared with central
-    differences of f1/f2, and the four Hessian blocks with central
-    differences of the gradient oracles. Returns the max relative errors,
-    measured as ||analytic - fd|| / max(1, ||analytic||), plus the worst
-    per-player Hessian asymmetry.
+    true (e.g. near singularities). Each derivative accessor is compared
+    with `problem.finite_difference` of its oracle: the gradients with
+    central differences of f1/f2, the four Hessian blocks with central
+    differences of the gradients. Returns the max relative errors, measured
+    as ||analytic - fd|| / max(1, ||analytic||), plus the worst per-player
+    Hessian asymmetry.
     """
-    from .core import finite_diff_gradient, finite_diff_jacobian
-
     n1, n2 = problem.n1, problem.n2
     lo, hi = _box_bounds(box, n1 + n2)
     rng = np.random.default_rng(seed)
 
-    def rel_err(analytic, fd):
-        return float(np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic)))
-
-    errs = dict.fromkeys(
-        ("grad1", "grad2", "hess11", "hess22", "mixed12", "mixed21"), 0.0
-    )
+    errs = dict.fromkeys(_DERIVATIVES, 0.0)
     asym = 0.0
     kept = 0
     while kept < samples:
@@ -435,31 +440,13 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
         if exclude is not None and exclude(x1, x2):
             continue
         kept += 1
-        h11 = problem.hessian11(x1, x2)
-        h22 = problem.hessian22(x1, x2)
-        pairs = {
-            "grad1": (
-                problem.gradient1(x1, x2),
-                finite_diff_gradient(lambda z: problem.f1(z, x2), x1),
-            ),
-            "grad2": (
-                problem.gradient2(x1, x2),
-                finite_diff_gradient(lambda z: problem.f2(x1, z), x2),
-            ),
-            "hess11": (h11, finite_diff_jacobian(lambda z: problem.gradient1(z, x2), x1)),
-            "hess22": (h22, finite_diff_jacobian(lambda z: problem.gradient2(x1, z), x2)),
-            "mixed12": (
-                problem.mixed12_f1(x1, x2),
-                finite_diff_jacobian(lambda z: problem.gradient1(x1, z), x2),
-            ),
-            "mixed21": (
-                problem.mixed21_f2(x1, x2),
-                finite_diff_jacobian(lambda z: problem.gradient2(z, x2), x1),
-            ),
-        }
-        for key, (analytic, fd) in pairs.items():
-            errs[key] = max(errs[key], rel_err(analytic, fd))
-        for h in (h11, h22):
+        values = {}
+        for key, (accessor, oracle) in _DERIVATIVES.items():
+            analytic = values[key] = getattr(problem, accessor)(x1, x2)
+            fd = problem.finite_difference(oracle, x1, x2)
+            err = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
+            errs[key] = max(errs[key], float(err))
+        for h in (values["hess11"], values["hess22"]):
             scale = max(1.0, float(np.max(np.abs(h))))
             asym = max(asym, float(np.max(np.abs(h - h.T))) / scale)
     report = {f"max_rel_err_{key}": err for key, err in errs.items()}

@@ -70,7 +70,6 @@ class SpdSurrogate:
 
     matrix: np.ndarray
     shift: float
-    min_eig_floor: float
 
 
 def _is_symmetric(H):
@@ -102,7 +101,7 @@ def modified_cholesky(H, floor):
     delta = 0.0
     while True:
         if _chol_succeeds(H + delta * eye, pivot_floor):
-            return SpdSurrogate(matrix=H + delta * eye, shift=delta, min_eig_floor=floor)
+            return SpdSurrogate(matrix=H + delta * eye, shift=delta)
         delta = floor if delta == 0.0 else 2.0 * delta
         if delta > MAX_SHIFT:
             raise ShiftOverflow(f"diagonal shift exceeded {MAX_SHIFT:.0e}")

@@ -39,9 +39,18 @@ from .linalg import (
 )
 
 
+#: backtracking gives up once the step length t falls below T_MIN
+T_MIN = 1e-18
+
+#: a player whose gradient norm is at most EPS_STATIONARY counts as stationary
+EPS_STATIONARY = 1e-12
+
+#: positive definite floor of the Hessian surrogates (see modified_cholesky)
+CHOL_FLOOR = 1e-8
+
+
 class HessianStrategy(Enum):
     MODIFIED_EXACT = "modified-exact"
-    IDENTITY = "identity"
     USER_SUPPLIED = "user-supplied"
 
 
@@ -59,7 +68,9 @@ class SolverConfig:
 
     alpha is the Armijo constant, theta the angle constant, gamma the
     gradient/direction ratio constant, and tau the safeguard threshold: a
-    stationary player's mixed block is zeroed only once t <= tau.
+    stationary player's mixed block is zeroed only once t <= tau. The
+    safeguards no caller tunes are constants: T_MIN, EPS_STATIONARY and
+    CHOL_FLOOR here, core.EPS_PSD for the final classification.
     """
 
     alpha: float = 1e-6
@@ -68,11 +79,7 @@ class SolverConfig:
     tau: float = 0.99
     grad_tol: float = 1e-4
     max_iter: int = 1000
-    t_min: float = 1e-18
     divergence_radius: float = 1e8
-    eps_stationary: float = 1e-12
-    chol_floor: float = 1e-8
-    eps_psd: float = 1e-8
     hessian_strategy: HessianStrategy = HessianStrategy.MODIFIED_EXACT
     user_h1: Optional[np.ndarray] = None
     user_h2: Optional[np.ndarray] = None
@@ -83,11 +90,9 @@ class SolverConfig:
         if not 0.0 < self.tau <= 1.0:
             raise ValueError("tau must lie in (0, 1]")
         # the comparisons are negated so that NaN fails them too
-        for name in ("theta", "gamma", "grad_tol", "t_min", "divergence_radius", "chol_floor", "eps_psd"):
+        for name in ("theta", "gamma", "grad_tol", "divergence_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        if not self.eps_stationary >= 0:
-            raise ValueError("eps_stationary must be nonnegative")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.hessian_strategy is HessianStrategy.USER_SUPPLIED and (
@@ -111,7 +116,6 @@ class SolverConfig:
 class Direction:
     d1: np.ndarray
     d2: np.ndarray
-    t_used_in_system: float
 
 
 @dataclass(frozen=True)
@@ -159,45 +163,36 @@ def safeguard_mixed_blocks(g1_norm, g2_norm, t, config, mixed1, mixed2):
     """Zero a player's mixed block once that player is stationary and t <= tau."""
     if t <= 0:
         raise ValueError("t must be positive")
-    M1 = mixed1 if (g1_norm > config.eps_stationary or t > config.tau) else np.zeros_like(mixed1)
-    M2 = mixed2 if (g2_norm > config.eps_stationary or t > config.tau) else np.zeros_like(mixed2)
+    M1 = mixed1 if (g1_norm > EPS_STATIONARY or t > config.tau) else np.zeros_like(mixed1)
+    M2 = mixed2 if (g2_norm > EPS_STATIONARY or t > config.tau) else np.zeros_like(mixed2)
     return M1, M2
 
 
-def _exact_surrogate(block, floor):
+def _exact_surrogate(block):
     # Nearly positive semidefinite blocks get the minimal diagonal shift, so
-    # Newton curvature survives untouched (a null Hessian becomes floor*I).
+    # Newton curvature survives untouched (a null Hessian becomes CHOL_FLOOR*I).
     # Blocks with genuine negative curvature fall back to the identity: a
     # barely-shifted indefinite block is nearly singular and produces huge
     # directions that the line search then has to shrink away.
     block = 0.5 * (block + block.T)
     min_eig = float(np.linalg.eigvalsh(block)[0])
-    if min_eig < -floor:
-        return SpdSurrogate(np.eye(block.shape[0]), 0.0, floor)
-    return modified_cholesky(block, floor)
+    if min_eig < -CHOL_FLOOR:
+        return SpdSurrogate(np.eye(block.shape[0]), 0.0)
+    return modified_cholesky(block, CHOL_FLOOR)
 
 
 def build_surrogates(problem, x1, x2, config):
     """Positive definite per-player Hessian surrogates for one iteration."""
-    strategy = config.hessian_strategy
-    if strategy is HessianStrategy.MODIFIED_EXACT:
-        h11 = problem.hessian11(x1, x2)
-        h22 = problem.hessian22(x1, x2)
-        if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
-            raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
+    if config.hessian_strategy is HessianStrategy.USER_SUPPLIED:
         return (
-            _exact_surrogate(h11, config.chol_floor),
-            _exact_surrogate(h22, config.chol_floor),
+            modified_cholesky(config.user_h1, CHOL_FLOOR),
+            modified_cholesky(config.user_h2, CHOL_FLOOR),
         )
-    if strategy is HessianStrategy.IDENTITY:
-        return (
-            SpdSurrogate(np.eye(problem.n1), 0.0, config.chol_floor),
-            SpdSurrogate(np.eye(problem.n2), 0.0, config.chol_floor),
-        )
-    return (
-        modified_cholesky(config.user_h1, config.chol_floor),
-        modified_cholesky(config.user_h2, config.chol_floor),
-    )
+    h11 = problem.hessian11(x1, x2)
+    h22 = problem.hessian22(x1, x2)
+    if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
+        raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
+    return _exact_surrogate(h11), _exact_surrogate(h22)
 
 
 def compute_direction(problem, x1, x2, g1, g2, H1, H2, t, config, mixed1=None, mixed2=None):
@@ -218,7 +213,7 @@ def compute_direction(problem, x1, x2, g1, g2, H1, H2, t, config, mixed1=None, m
     system = assemble_block_system(H1, H2, M1, M2, t)
     rhs = -np.concatenate([g1, g2])
     d = lu_solve(system, rhs)
-    return Direction(d1=d[: problem.n1], d2=d[problem.n1 :], t_used_in_system=t)
+    return Direction(d1=d[: problem.n1], d2=d[problem.n1 :])
 
 
 def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
@@ -273,7 +268,7 @@ def _descent_step(problem, config, x1, x2, res):
     Builds the Hessian surrogates and mixed blocks once; then, with t reset
     to 1, repeatedly safeguards the mixed blocks, solves the block system
     (halving t when it is singular) and tests the six inequalities, halving
-    t on rejection, until a step is accepted or t falls below t_min.
+    t on rejection, until a step is accepted or t falls below T_MIN.
     Returns the accepted step in the form `_drive` takes, or DIVERGED /
     LINE_SEARCH_FAILURE when no trial was accepted.
     """
@@ -306,7 +301,7 @@ def _descent_step(problem, config, x1, x2, res):
                 nonfinite_seen = True
             backtracks += 1
         t *= 0.5
-        if t < config.t_min:
+        if t < T_MIN:
             return SolveStatus.DIVERGED if nonfinite_seen else SolveStatus.LINE_SEARCH_FAILURE
 
 
@@ -343,9 +338,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             res = evaluate_residual(problem, x1, x2)
             if res.norm <= config.grad_tol:
                 status = SolveStatus.CONVERGED
-                classification = classify_point(
-                    problem, x1, x2, config.grad_tol, eps_psd=config.eps_psd, res=res
-                )
+                classification = classify_point(problem, x1, x2, config.grad_tol, res=res)
                 break
             if len(trajectory) >= config.max_iter:
                 status = SolveStatus.MAX_ITERATIONS

@@ -289,21 +289,22 @@ class QuadraticNep:
         )
 
 
-def _random_spd(rng, n, cond):
+def _random_spd(rng, n):
+    # a random orthogonal basis with eigenvalues drawn from [1, 10)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    eigs = rng.uniform(1.0, cond, size=n)
+    eigs = rng.uniform(1.0, 10.0, size=n)
     A = (q * eigs) @ q.T
     return 0.5 * (A + A.T)
 
 
-def random_quadratic_nep(n1, n2, seed, spd_conditioning=10.0):
+def random_quadratic_nep(n1, n2, seed):
     """Seeded strictly convex quadratic game with a verified nonsingular
     full matrix (the mixed blocks are resampled on failure)."""
     if n1 < 1 or n2 < 1:
         raise ValueError("dimensions must be >= 1")
     rng = np.random.default_rng(seed)
-    A1 = _random_spd(rng, n1, spd_conditioning)
-    A2 = _random_spd(rng, n2, spd_conditioning)
+    A1 = _random_spd(rng, n1)
+    A2 = _random_spd(rng, n2)
     c1 = rng.uniform(-1.0, 1.0, size=n1)
     c2 = rng.uniform(-1.0, 1.0, size=n2)
     for _ in range(100):

@@ -120,7 +120,7 @@ def test_jacobi_example4_undefined():
 
 def test_jacobi_diverges_on_quadratic_with_rho_above_one():
     # the Jacobi map of this game has spectral radius above 1; once |x| is
-    # large the inner gradient sits at its round-off level above inner_tol,
+    # large the inner gradient sits at its round-off level above INNER_TOL,
     # and the run must still end as diverged rather than undefined
     problem = get_problem("quadratic:1:40x40")
     report = solve_exact_jacobi(problem, np.zeros(problem.n1), np.zeros(problem.n2))
@@ -135,11 +135,6 @@ def test_jacobi_example5_branch_from_current_coordinate():
     assert report.status is SolveStatus.CONVERGED
     assert abs(report.final_x1[0]) <= 1e-3
     assert abs(report.final_x2[0]) <= 1e-3
-
-
-def test_jacobi_inner_tol_validation():
-    with pytest.raises(ValueError):
-        exact_jacobi_step(make_example(1), [-5.0], [1.0], inner_tol=0.0)
 
 
 def test_jacobi_quadratic_single_inner_newton_is_exact():

@@ -189,18 +189,34 @@ def test_out_dir_env_fallback(tmp_path, monkeypatch, capsys):
     assert (target / "examp1_descent-newton_report.json").exists()
 
 
+#: the full text of table1.csv; csv.writer ends each row with \r\n
+TABLE1_CSV = "# nepsolve table1\n" + "".join(
+    row + "\r\n"
+    for row in (
+        "problem,solver,status,point,grad_norm,iterations",
+        'examp1,descent-newton,converged,"(2.00000, 1.00000)",0.00000e+00,1',
+        'examp1,newton-kkt,converged,"(2.00000, 1.00000)",0.00000e+00,1',
+        'examp1,exact-jacobi,converged,"(2.00003, 1.00000)",5.59145e-05,14',
+        'examp2,descent-newton,converged,"(0.57143, 4.71429)",2.22045e-16,1',
+        'examp2,newton-kkt,converged,"(0.57143, 4.71429)",2.22045e-16,1',
+        "examp2,exact-jacobi,diverged,diverged,inf,19",
+        "examp3,descent-newton,diverged,diverged,inf,18",
+        'examp3,newton-kkt,converged,"(3.20000, -1.40000)",1.77636e-15,1',
+        'examp3,exact-jacobi,converged,"(3.19997, -1.39999)",5.01388e-05,14',
+        'examp4,descent-newton,converged,"(0.70000, 0.60000)",5.71402e-08,1',
+        'examp4,newton-kkt,converged,"(0.70000, 0.60000)",2.22045e-16,1',
+        "examp4,exact-jacobi,undefined,-,-,-",
+        'examp5,descent-newton,converged,"(0.00000, 0.00000)",7.37982e-15,8',
+        'examp5,newton-kkt,converged,"(0.00000, 0.00000)",6.65622e-13,7',
+        'examp5,exact-jacobi,converged,"(0.00000, 0.00000)",7.60309e-11,2',
+    )
+)
+
+
 def test_table1_command(tmp_path, capsys):
     code, out = run_cli(["table1"], tmp_path)
     assert code == 0
-    rows = read_csv(out / "table1.csv")
-    assert rows[0] == ["problem", "solver", "status", "point", "grad_norm", "iterations"]
-    cells = {(r[0], r[1]): r for r in rows[1:]}
-    assert len(cells) == 15
-    assert cells[("examp2", "exact-jacobi")][2] == "diverged"
-    assert cells[("examp4", "exact-jacobi")][2] == "undefined"
-    assert cells[("examp1", "descent-newton")][2] == "converged"
-    assert cells[("examp1", "descent-newton")][5] == "1"
-    assert cells[("examp3", "newton-kkt")][5] == "1"
+    assert (out / "table1.csv").read_bytes() == TABLE1_CSV.encode()
     printed = capsys.readouterr().out
     assert "examp5" in printed
 
@@ -231,6 +247,26 @@ def test_facility_bench_study_answer(tmp_path):
     ]
     assert float(rows[1][4]) == pytest.approx(7.36, abs=1e-12)
     assert float(rows[2][4]) == pytest.approx(5.75, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "problem_id, solver, code, status, iterations",
+    [
+        ("facility2d", "newton-kkt", 2, "diverged", 5),
+        ("facility2d", "exact-jacobi", 2, "diverged", 1),
+        ("facility1d", "exact-jacobi", 2, "diverged", 1),
+        ("facility1d", "newton-kkt", 0, "converged", 6),
+    ],
+)
+def test_facility_escape_radius(tmp_path, problem_id, solver, code, status, iterations):
+    # from the paper starts the first three runs walk off into the flat tail,
+    # where the gradients vanish; every facility run has escape radius 100,
+    # and the facility1d Newton end point x1 = -54.2 lies inside it
+    assert run_cli(["solve", "--problem", problem_id, "--solver", solver], tmp_path)[0] == code
+    report = json.loads((tmp_path / "out" / f"{problem_id}_{solver}_report.json").read_text())
+    assert report["status"] == status
+    assert report["iterations"] == iterations
+    assert report["config"]["divergence_radius"] == 100.0
 
 
 def test_facility_bench_unknown_solver(tmp_path):

