@@ -12,6 +12,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .linalg import spectral_bounds_sym
+
 #: PSD tolerance of the final classification: a Hessian block counts as
 #: positive semidefinite when its smallest eigenvalue is at least -EPS_PSD
 EPS_PSD = 1e-8
@@ -211,8 +213,8 @@ def classify_point(problem, x1, x2, tol, res=None):
     h22 = problem.hessian22(x1, x2)
     if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
-    min1 = float(np.min(np.linalg.eigvalsh(0.5 * (h11 + h11.T))))
-    min2 = float(np.min(np.linalg.eigvalsh(0.5 * (h22 + h22.T))))
+    min1 = spectral_bounds_sym(h11)[0]
+    min2 = spectral_bounds_sym(h22)[0]
     if res.norm > tol:
         kind = PointKind.NON_STATIONARY
     elif min1 >= -EPS_PSD and min2 >= -EPS_PSD:

@@ -1,17 +1,20 @@
 """Dense factorizations behind the block Newton system.
 
-Matrices are plain 2-D float64 numpy arrays; scipy provides the LU and
-Cholesky kernels. What this module adds are the solver-facing policies: a
-scale-invariant pivot rule for declaring the block system singular, and a
-doubling diagonal shift that turns an indefinite Hessian into a positive
-definite surrogate.
+Matrices are plain 2-D float64 numpy arrays. LU is LAPACK's getrf/getrs,
+called directly through scipy.linalg.lapack. What this module adds are the
+solver-facing policies: a scale-invariant pivot rule for declaring the
+block system singular, a one-Cholesky test (LAPACK's potrf) of whether a
+symmetric block is positive definite, so that the solver needs eigvalsh
+only for a block that fails it, and a doubling diagonal shift (decided by
+numpy's Cholesky) that turns an indefinite Hessian into a positive definite
+surrogate. No routine here writes to its arguments, and none copies an
+n x n matrix that it does not need.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 
 class SingularMatrixError(RuntimeError):
@@ -51,17 +54,20 @@ def lu_solve(A, b):
         raise DimensionMismatch(f"rhs shape {b.shape} does not match matrix {A.shape}")
     if not np.all(np.isfinite(A)):
         raise SingularMatrixError("matrix contains non-finite entries")
-    with warnings.catch_warnings():
-        # exact zero pivots are handled by the pivot test below
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(A, check_finite=False)
-    norm_inf = float(np.max(np.sum(np.abs(A), axis=1))) if A.size else 0.0
+    if A.size == 0:
+        return np.empty(0)  # LAPACK rejects the empty system
+    # getrf and getrs work on copies (overwrite_a/overwrite_b default to
+    # off); an exactly zero pivot comes back through info and fails the
+    # pivot test below
+    lu, piv, _ = lapack.dgetrf(A)
+    norm_inf = float(np.max(np.sum(np.abs(A), axis=1)))
     pivots = np.abs(np.diag(lu))
     if not np.all(pivots > PIVOT_RTOL * norm_inf):
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * ||A||_inf"
         )
-    return scipy.linalg.lu_solve((lu, piv), b, check_finite=False)
+    x, _ = lapack.dgetrs(lu, piv, b)
+    return x
 
 
 @dataclass(frozen=True)
@@ -78,6 +84,19 @@ def _is_symmetric(H):
     return not np.max(np.abs(H - H.T)) > 1e-8 * max(1.0, scale)
 
 
+def _symmetric_part(H):
+    """0.5 * (H + H.T) of a float64 H, bit for bit.
+
+    A bitwise symmetric H is its own symmetric part, so it is returned as
+    it is, without the two n x n temporaries (entries beyond half the
+    largest float, whose sum would overflow, are the one exception).
+    """
+    bits = H.view(np.uint64)
+    if (bits == bits.T).all():
+        return H
+    return 0.5 * (H + H.T)
+
+
 def modified_cholesky(H, floor):
     """Positive definite surrogate of a symmetric H by diagonal shifting.
 
@@ -91,20 +110,25 @@ def modified_cholesky(H, floor):
         raise DimensionMismatch(f"matrix must be square, got {H.shape}")
     if floor <= 0:
         raise ValueError("eigenvalue floor must be positive")
-    if not _is_symmetric(H):
+    S = _symmetric_part(H)
+    # a bitwise symmetric H passes the tolerance test by construction
+    if S is not H and not _is_symmetric(H):
         raise ValueError("modified_cholesky requires a symmetric matrix")
-    H = 0.5 * (H + H.T)
+    H = S
 
-    n = H.shape[0]
-    eye = np.eye(n)
     pivot_floor = floor * CHOL_PIVOT_SAFETY
-    delta = 0.0
-    while True:
-        if _chol_succeeds(H + delta * eye, pivot_floor):
-            return SpdSurrogate(matrix=H + delta * eye, shift=delta)
-        delta = floor if delta == 0.0 else 2.0 * delta
-        if delta > MAX_SHIFT:
-            raise ShiftOverflow(f"diagonal shift exceeded {MAX_SHIFT:.0e}")
+    if _chol_succeeds(H, pivot_floor):
+        # + 0.0 gives the result its own memory and turns any -0.0 entry
+        # into 0.0, as the shifted attempts' H + delta*I does
+        return SpdSurrogate(matrix=H + 0.0, shift=0.0)
+    eye = np.eye(H.shape[0])
+    delta = floor
+    while delta <= MAX_SHIFT:
+        shifted = H + delta * eye
+        if _chol_succeeds(shifted, pivot_floor):
+            return SpdSurrogate(matrix=shifted, shift=delta)
+        delta *= 2.0
+    raise ShiftOverflow(f"diagonal shift exceeded {MAX_SHIFT:.0e}")
 
 
 def _chol_succeeds(M, pivot_floor):
@@ -113,7 +137,20 @@ def _chol_succeeds(M, pivot_floor):
     except np.linalg.LinAlgError:
         return False
     # pivots in the LDL^T sense are the squared Cholesky diagonal
-    return bool(np.min(np.diag(L)) ** 2 >= pivot_floor)
+    return bool(L.diagonal().min() ** 2 >= pivot_floor)
+
+
+def _potrf_succeeds(M, pivot_floor):
+    """_chol_succeeds through LAPACK's potrf, which reports a failed
+    factorization through info instead of raising (on a 2 x 2 block the
+    raised exception costs several times the factorization).
+
+    numpy and scipy may link different LAPACK builds, whose factors can
+    differ in their last bits, so the two tests can disagree on a matrix at
+    the pivot floor; modified_cholesky keeps numpy's test for its shifts.
+    """
+    L, info = lapack.dpotrf(M, lower=1, clean=0)
+    return info == 0 and bool(L.diagonal().min() ** 2 >= pivot_floor)
 
 
 def _block(h):
@@ -140,8 +177,8 @@ def assemble_block_system(H1, H2, M1, M2, t):
         )
     out = np.empty((n1 + n2, n1 + n2))
     out[:n1, :n1] = H1
-    out[:n1, n1:] = t * M1
-    out[n1:, :n1] = t * M2
+    np.multiply(t, M1, out=out[:n1, n1:])
+    np.multiply(t, M2, out=out[n1:, :n1])
     out[n1:, n1:] = H2
     return out
 
@@ -151,5 +188,5 @@ def spectral_bounds_sym(H):
     H = np.atleast_2d(np.asarray(H, dtype=float))
     if H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {H.shape}")
-    eigs = np.linalg.eigvalsh(0.5 * (H + H.T))
+    eigs = np.linalg.eigvalsh(_symmetric_part(H))
     return float(eigs[0]), float(eigs[-1])

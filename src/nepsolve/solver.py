@@ -29,10 +29,13 @@ import numpy as np
 
 from .core import InnerSolveFailure, NonFiniteEvaluation, classify_point, evaluate_residual
 from .linalg import (
+    CHOL_PIVOT_SAFETY,
     ShiftOverflow,
     SingularMatrixError,
     SpdSurrogate,
     _is_symmetric,
+    _potrf_succeeds,
+    _symmetric_part,
     assemble_block_system,
     lu_solve,
     modified_cholesky,
@@ -173,10 +176,14 @@ def _exact_surrogate(block):
     # Newton curvature survives untouched (a null Hessian becomes CHOL_FLOOR*I).
     # Blocks with genuine negative curvature fall back to the identity: a
     # barely-shifted indefinite block is nearly singular and produces huge
-    # directions that the line search then has to shrink away.
-    block = 0.5 * (block + block.T)
-    min_eig = float(np.linalg.eigvalsh(block)[0])
-    if min_eig < -CHOL_FLOOR:
+    # directions that the line search then has to shrink away. One Cholesky
+    # settles a positive definite block, which modified_cholesky returns
+    # unshifted; only a block that fails it pays for eigvalsh. The Cholesky
+    # test and the eigvalsh test agree unless the block is so large that the
+    # rounding in either exceeds CHOL_FLOOR (norms of order 1e8).
+    block = _symmetric_part(block)
+    pivot_floor = CHOL_FLOOR * CHOL_PIVOT_SAFETY
+    if not _potrf_succeeds(block, pivot_floor) and np.linalg.eigvalsh(block)[0] < -CHOL_FLOOR:
         return SpdSurrogate(np.eye(block.shape[0]), 0.0)
     return modified_cholesky(block, CHOL_FLOOR)
 

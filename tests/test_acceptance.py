@@ -28,11 +28,12 @@ from nepsolve import (
     validate_derivatives,
     verify_lemma_bounds,
 )
+from nepsolve.cli import ESCAPE_RADII
 
 PAPER_CONFIG = SolverConfig(
     alpha=1e-6, theta=0.01, gamma=1e-6, tau=0.99, grad_tol=1e-4, max_iter=1000
 )
-BENCH_CONFIG = SolverConfig(grad_tol=1e-6, divergence_radius=100.0)
+BENCH_CONFIG = SolverConfig(grad_tol=1e-6, divergence_radius=ESCAPE_RADII["facility2d"])
 
 
 @contextmanager

@@ -307,3 +307,19 @@ def test_diagnose_example5_partial_sums(tmp_path):
     payload = json.loads((out / "examp5_descent-newton_diagnose.json").read_text())
     assert payload["partial_sum_d2"] > 0
     assert payload["stepsizes"]["t_min_observed"] >= 0.5
+
+
+@pytest.mark.parametrize("solver", ["newton-kkt", "exact-jacobi"])
+def test_diagnose_baselines_certify_no_lemmas(tmp_path, capsys, solver):
+    # the lemmas are about descent-newton's surrogate system and line search
+    code, out = run_cli(
+        ["diagnose", "--problem", "examp1", "--solver", solver, "--samples", "10"], tmp_path
+    )
+    assert code == 0
+    payload = json.loads((out / f"examp1_{solver}_diagnose.json").read_text())
+    assert payload["iterations"] >= 1
+    assert payload["lemma_report"] is None
+    assert payload["stepsizes"]["t_min_observed"] == 1.0
+    stdout = capsys.readouterr().out
+    assert f"lemma certificates: none, {solver} solves no surrogate system" in stdout
+    assert "checked" not in stdout

@@ -1,8 +1,13 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nepsolve.linalg as linalg_mod
 from nepsolve import (
     DimensionMismatch,
     ShiftOverflow,
@@ -33,6 +38,62 @@ def test_lu_rank_deficient_raises():
 def test_lu_zero_matrix_raises():
     with pytest.raises(SingularMatrixError):
         lu_solve(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 40, 300])
+def test_lu_matches_scipy_lu_factor_and_lu_solve(monkeypatch, n):
+    # lu_solve calls getrf/getrs itself; factors and solution must be the
+    # bits scipy.linalg.lu_factor/lu_solve give
+    factors = []
+    real = linalg_mod.lapack
+
+    def dgetrf(a):
+        out = real.dgetrf(a)
+        factors.append(out)
+        return out
+
+    monkeypatch.setattr(
+        linalg_mod, "lapack",
+        types.SimpleNamespace(dgetrf=dgetrf, dgetrs=real.dgetrs, dpotrf=real.dpotrf),
+    )
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        A = rng.standard_normal((n, n))
+        b = rng.standard_normal(n)
+        x = lu_solve(A, b)
+        lu, piv = scipy.linalg.lu_factor(A)
+        assert np.array_equal(factors[-1][0].view(np.uint64), lu.view(np.uint64))
+        assert np.array_equal(factors[-1][1], piv)
+        expected = scipy.linalg.lu_solve((lu, piv), b)
+        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lu_leaves_arguments_unmodified(order):
+    rng = np.random.default_rng(5)
+    A = np.asarray(rng.standard_normal((40, 40)), order=order)
+    b = rng.standard_normal(40)
+    A0, b0 = A.copy(order="A"), b.copy()
+    x = lu_solve(A, b)
+    assert np.array_equal(A, A0) and A.flags[f"{order}_CONTIGUOUS"]
+    assert np.array_equal(b, b0)
+    assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
+
+
+def test_lu_exactly_singular_raises_without_warning():
+    # a zero pivot comes back through getrf's info; nothing is warned
+    rng = np.random.default_rng(6)
+    dup = rng.standard_normal((300, 300))
+    dup[:, 7] = dup[:, 3]
+    for A in (np.array([[1.0, 2.0], [2.0, 4.0]]), np.zeros((3, 3)), dup):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                lu_solve(A, np.ones(A.shape[0]))
+
+
+def test_lu_empty_system():
+    assert lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
 
 def test_lu_dimension_mismatch():

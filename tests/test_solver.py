@@ -18,8 +18,9 @@ from nepsolve import (
     solve,
     solve_newton_kkt,
 )
-from nepsolve.linalg import assemble_block_system
-from nepsolve.solver import Direction, build_surrogates
+import nepsolve.solver as solver_mod
+from nepsolve.linalg import CHOL_PIVOT_SAFETY, assemble_block_system
+from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
 
 
 def test_config_validation():
@@ -380,3 +381,80 @@ def test_residual_evaluated_once_per_iterate():
     report = solve(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED and report.iterations == 1
     assert calls == {"grad1": 3, "grad2": 3}
+
+
+def _eigvalsh_rule(block):
+    """The surrogate rule decided by eigvalsh alone, with the diagonal-shift
+    loop as first written: the reference for the Cholesky-first rule."""
+    block = 0.5 * (block + block.T)
+    n = block.shape[0]
+    if float(np.linalg.eigvalsh(block)[0]) < -CHOL_FLOOR:
+        return np.eye(n), 0.0
+    H = 0.5 * (block + block.T)  # modified_cholesky symmetrized once more
+    eye = np.eye(n)
+    delta = 0.0
+    while True:
+        try:
+            L = np.linalg.cholesky(H + delta * eye)
+            if np.min(np.diag(L)) ** 2 >= CHOL_FLOOR * CHOL_PIVOT_SAFETY:
+                return H + delta * eye, delta
+        except np.linalg.LinAlgError:
+            pass
+        delta = CHOL_FLOOR if delta == 0.0 else 2.0 * delta
+
+
+def _seeded_block(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.5, 5.0, size=n)
+    if kind == "null":
+        return np.zeros((n, n))
+    if kind == "diagonal-negative-zeros":
+        # positive definite, with -0.0 off the diagonal
+        return np.where(np.eye(n, dtype=bool), np.diag(lam), -0.0)
+    if kind in ("near-psd", "psd-singular"):
+        lam[0] = -0.5 * CHOL_FLOOR if kind == "near-psd" else 0.0
+    if kind == "indefinite":
+        lam[0] = -rng.uniform(0.5, 5.0)
+    block = (q * lam) @ q.T
+    block = 0.5 * (block + block.T)
+    if kind == "asymmetric-last-bit" and n > 1:
+        block[0, -1] = np.nextafter(block[0, -1], np.inf)
+        assert not np.array_equal(block, block.T)
+    return block
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize(
+    "kind",
+    ["positive-definite", "diagonal-negative-zeros", "null", "near-psd", "psd-singular",
+     "indefinite", "asymmetric-last-bit"],
+)
+def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
+    calls = []
+    real = solver_mod.modified_cholesky
+    monkeypatch.setattr(
+        solver_mod, "modified_cholesky", lambda H, floor: calls.append(1) or real(H, floor)
+    )
+    for seed in range(5):
+        block = _seeded_block(kind, n, seed)
+        original = block.copy()
+        calls.clear()
+        out = _exact_surrogate(block)
+        matrix, shift = _eigvalsh_rule(block)
+        assert np.array_equal(out.matrix.view(np.uint64), matrix.view(np.uint64))
+        assert out.shift == shift
+        assert np.array_equal(block.view(np.uint64), original.view(np.uint64))
+        # every surrogate but the identity comes from one modified_cholesky
+        # call through the module global, which the benchmark's tracer counts
+        assert len(calls) == (0 if kind == "indefinite" else 1)
+        if kind in ("positive-definite", "diagonal-negative-zeros"):
+            assert shift == 0.0
+        elif kind == "null":
+            assert np.array_equal(matrix, CHOL_FLOOR * np.eye(n))
+        elif kind in ("near-psd", "psd-singular"):
+            assert shift > 0.0
+        elif kind == "indefinite":
+            assert np.array_equal(matrix, np.eye(n)) and shift == 0.0
+    if kind == "diagonal-negative-zeros" and n > 1:
+        assert not np.any(np.signbit(out.matrix))
