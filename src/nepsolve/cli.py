@@ -328,11 +328,12 @@ def cmd_diagnose(args):
         and report.iterations == 1,
     }
     if report.trajectory:
+        lemma_report = verify_lemma_bounds(report, estimates)
         steps = monitor_stepsizes(report)
         s1, s2 = partial_direction_sums(report)
         payload.update(
             {
-                "lemma_report": None,
+                "lemma_report": None if lemma_report is None else lemma_report.to_dict(),
                 "stepsizes": {
                     "t_min_observed": steps.t_min_observed,
                     "bounded_away_flag": steps.bounded_away_flag,
@@ -341,17 +342,13 @@ def cmd_diagnose(args):
                 "partial_sum_d2": s2,
             }
         )
-        # the lemmas bound the surrogate block system and the line search of
-        # descent-newton; the baselines' unit steps use neither
-        if report.solver == "descent-newton":
-            lemma_report = verify_lemma_bounds(report, estimates)
-            payload["lemma_report"] = lemma_report.to_dict()
-            print(lemma_report)
-        else:
+        if lemma_report is None:
             print(
                 f"lemma certificates: none, {report.solver} solves no surrogate system "
                 "and runs no line search"
             )
+        else:
+            print(lemma_report)
     path = os.path.join(_out_dir(args.out_dir), f"{args.problem}_{args.solver}_diagnose.json")
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2)

@@ -196,8 +196,12 @@ def verify_lemma_bounds(run, est):
 
     Needs run.problem and run.config (set by the solvers). Returns a report
     listing violations with iterate index and margin; hypothesis-failing
-    iterates are counted as skipped.
+    iterates are counted as skipped. Returns None for a newton-kkt or
+    exact-jacobi run: the lemmas bound descent-newton's surrogate block
+    system and line search, and the baselines' unit steps use neither.
     """
+    if run.solver != "descent-newton":
+        return None
     problem = run.problem
     config = run.config
     if problem is None or config is None:

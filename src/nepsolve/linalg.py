@@ -5,8 +5,8 @@ called directly through scipy.linalg.lapack. What this module adds are the
 solver-facing policies: a scale-invariant pivot rule for declaring the
 block system singular, a one-Cholesky test (LAPACK's potrf) of whether a
 symmetric block is positive definite, so that the solver needs eigvalsh
-only for a block that fails it, and a doubling diagonal shift (decided by
-numpy's Cholesky) that turns an indefinite Hessian into a positive definite
+only for a block that fails it, and a doubling diagonal shift, decided by
+the same test, that turns an indefinite Hessian into a positive definite
 surrogate. No routine here writes to its arguments, and none copies an
 n x n matrix that it does not need.
 """
@@ -132,24 +132,14 @@ def modified_cholesky(H, floor):
 
 
 def _chol_succeeds(M, pivot_floor):
-    try:
-        L = np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    # pivots in the LDL^T sense are the squared Cholesky diagonal
-    return bool(L.diagonal().min() ** 2 >= pivot_floor)
+    """Whether LAPACK's potrf factors M with pivots at least pivot_floor.
 
-
-def _potrf_succeeds(M, pivot_floor):
-    """_chol_succeeds through LAPACK's potrf, which reports a failed
-    factorization through info instead of raising (on a 2 x 2 block the
-    raised exception costs several times the factorization).
-
-    numpy and scipy may link different LAPACK builds, whose factors can
-    differ in their last bits, so the two tests can disagree on a matrix at
-    the pivot floor; modified_cholesky keeps numpy's test for its shifts.
+    potrf reports a failed factorization through info instead of raising
+    (on a 2 x 2 block a raised exception costs several times the
+    factorization), and factors a copy of M.
     """
     L, info = lapack.dpotrf(M, lower=1, clean=0)
+    # pivots in the LDL^T sense are the squared Cholesky diagonal
     return info == 0 and bool(L.diagonal().min() ** 2 >= pivot_floor)
 
 

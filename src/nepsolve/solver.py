@@ -33,8 +33,8 @@ from .linalg import (
     ShiftOverflow,
     SingularMatrixError,
     SpdSurrogate,
+    _chol_succeeds,
     _is_symmetric,
-    _potrf_succeeds,
     _symmetric_part,
     assemble_block_system,
     lu_solve,
@@ -50,6 +50,10 @@ EPS_STATIONARY = 1e-12
 
 #: positive definite floor of the Hessian surrogates (see modified_cholesky)
 CHOL_FLOOR = 1e-8
+
+#: a block of order n that passes the Cholesky test skips eigvalsh while
+#: CHOL_ROUNDING * n * trace stays within CHOL_FLOOR (see _exact_surrogate)
+CHOL_ROUNDING = 16 * np.finfo(float).eps
 
 
 class HessianStrategy(Enum):
@@ -178,13 +182,20 @@ def _exact_surrogate(block):
     # barely-shifted indefinite block is nearly singular and produces huge
     # directions that the line search then has to shrink away. One Cholesky
     # settles a positive definite block, which modified_cholesky returns
-    # unshifted; only a block that fails it pays for eigvalsh. The Cholesky
-    # test and the eigvalsh test agree unless the block is so large that the
-    # rounding in either exceeds CHOL_FLOOR (norms of order 1e8).
+    # unshifted; eigvalsh runs only for a block that fails it or whose size
+    # could let rounding reach CHOL_FLOOR. A successful potrf factors the
+    # block up to a backward error of order n * eps * trace, and eigvalsh,
+    # backward stable, errs by order n * eps * ||block|| <= n * eps * trace,
+    # so below that bound eigvalsh would not have found an eigenvalue under
+    # -CHOL_FLOOR either, and the decision is the eigvalsh rule's.
     block = _symmetric_part(block)
-    pivot_floor = CHOL_FLOOR * CHOL_PIVOT_SAFETY
-    if not _potrf_succeeds(block, pivot_floor) and np.linalg.eigvalsh(block)[0] < -CHOL_FLOOR:
-        return SpdSurrogate(np.eye(block.shape[0]), 0.0)
+    n = block.shape[0]
+    settled = (
+        _chol_succeeds(block, CHOL_FLOOR * CHOL_PIVOT_SAFETY)
+        and CHOL_ROUNDING * n * block.trace() <= CHOL_FLOOR
+    )
+    if not settled and np.linalg.eigvalsh(block)[0] < -CHOL_FLOOR:
+        return SpdSurrogate(np.eye(n), 0.0)
     return modified_cholesky(block, CHOL_FLOOR)
 
 

@@ -11,6 +11,8 @@ from nepsolve import (
     partial_direction_sums,
     random_quadratic_nep,
     solve,
+    solve_exact_jacobi,
+    solve_newton_kkt,
     verify_lemma_bounds,
 )
 from nepsolve.solver import IterateRecord, LineSearchCertificate, SolveReport
@@ -127,6 +129,15 @@ def test_verify_requires_trajectory():
     est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
     with pytest.raises(ValueError):
         verify_lemma_bounds(report, est)
+
+
+@pytest.mark.parametrize("baseline", [solve_newton_kkt, solve_exact_jacobi])
+def test_verify_certifies_no_lemmas_for_baselines(baseline):
+    # the lemmas bound descent-newton's surrogate system and line search
+    report = baseline(make_example(1), [-5.0], [1.0])
+    assert report.trajectory
+    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
+    assert verify_lemma_bounds(report, est) is None
 
 
 def test_monitor_stepsizes_example1():
