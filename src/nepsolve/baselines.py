@@ -2,6 +2,8 @@
 system, and the exact Jacobi iteration that re-solves each player's own
 stationarity equation against the opponent's current decision."""
 
+from operator import attrgetter
+
 import numpy as np
 
 from .core import InnerSolveFailure, NonFiniteEvaluation, evaluate_residual
@@ -18,41 +20,40 @@ def newton_kkt_step(problem, x1, x2, res=None):
 
     Uses the true (possibly indefinite) per-player Hessian blocks; raises
     SingularMatrixError when the full matrix fails the pivot test. The
-    residual at (x1, x2) may be passed in to avoid evaluating it again.
+    residual at (x1, x2) may be passed in; its point then supplies the
+    Hessian blocks too.
     """
     if res is None:
         res = evaluate_residual(problem, x1, x2)
-    K = assemble_block_system(
-        problem.hessian11(x1, x2),
-        problem.hessian22(x1, x2),
-        problem.mixed12_f1(x1, x2),
-        problem.mixed21_f2(x1, x2),
-        1.0,
-    )
+    point = res.point
+    K = assemble_block_system(point.hess11, point.hess22, point.mixed12, point.mixed21, 1.0)
     if not np.all(np.isfinite(K)):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     d = lu_solve(K, -np.concatenate([res.g1, res.g2]))
     return d[: problem.n1], d[problem.n1 :]
 
 
-def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
+def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
     """Damped Newton root find for one player's stationarity equation.
 
-    Backtracks on the squared gradient norm. A stalled line search whose
-    Newton step is below sqrt(eps) relative to z returns z: the gradient is
-    then at its round-off level, which at large |z| exceeds tol. Raises
-    InnerSolveFailure when the per-player Hessian block is singular (the
-    iteration is undefined) or progress stalls.
+    at(z) evaluates the problem with the player's decision at z; point is
+    that evaluation at z0 and g the player's gradient there. grad and hess
+    read the player's gradient and own Hessian block off a point, so each
+    iterate is evaluated once (an accepted trial point is the next
+    iterate). Backtracks on the squared gradient norm. A stalled line
+    search whose Newton step is below sqrt(eps) relative to z returns z:
+    the gradient is then at its round-off level, which at large |z|
+    exceeds tol. Raises InnerSolveFailure when the per-player Hessian block
+    is singular (the iteration is undefined) or progress stalls.
     """
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(max_iter):
-        g = grad(z)
         if not np.all(np.isfinite(g)):
             raise NonFiniteEvaluation("non-finite gradient in inner solve")
         if np.linalg.norm(g) <= tol:
             return z
         try:
-            p = lu_solve(hess(z), -g)
+            p = lu_solve(hess(point), -g)
         except SingularMatrixError as err:
             raise InnerSolveFailure(
                 "per-player Hessian block is singular; the step is undefined"
@@ -60,7 +61,9 @@ def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
         phi = float(g @ g)
         s = 1.0
         while s >= 1e-12:
-            g_trial = grad(z + s * p)
+            z_trial = z + s * p
+            trial = at(z_trial)
+            g_trial = grad(trial)
             if np.all(np.isfinite(g_trial)) and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
                 break
             s *= 0.5
@@ -69,32 +72,31 @@ def _inner_newton_root(grad, hess, z0, tol, max_iter=100):
                 # the Newton step no longer moves z at float precision
                 return z
             raise InnerSolveFailure("inner line search stalled")
-        z = z + s * p
-    g = grad(z)
+        z, point, g = z_trial, trial, g_trial
     if np.linalg.norm(g) <= tol:
         return z
     raise InnerSolveFailure("inner Newton did not converge")
 
 
-def exact_jacobi_step(problem, x1, x2):
+def exact_jacobi_step(problem, x1, x2, res=None):
     """One simultaneous best-response-style update.
 
     x1_new solves grad of f1(., x2) = 0 and x2_new solves grad of
     f2(x1, .) = 0, both from the current coordinates against the opponent's
     *current* decision; the pair is then adopted jointly. Each solve stops
-    at gradient norm INNER_TOL.
+    at gradient norm INNER_TOL. Both start from the residual at (x1, x2)
+    and its point, which may be passed in as res.
     """
+    if res is None:
+        res = evaluate_residual(problem, x1, x2)
+    point = res.point
+    grad1, hess11 = attrgetter("grad1"), attrgetter("hess11")
+    grad2, hess22 = attrgetter("grad2"), attrgetter("hess22")
     x1_new = _inner_newton_root(
-        lambda z: problem.gradient1(z, x2),
-        lambda z: problem.hessian11(z, x2),
-        x1,
-        INNER_TOL,
+        lambda z: problem._at(z, x2), grad1, hess11, x1, point, res.g1, INNER_TOL
     )
     x2_new = _inner_newton_root(
-        lambda z: problem.gradient2(x1, z),
-        lambda z: problem.hessian22(x1, z),
-        x2,
-        INNER_TOL,
+        lambda z: problem._at(x1, z), grad2, hess22, x2, point, res.g2, INNER_TOL
     )
     return x1_new, x2_new
 
@@ -126,6 +128,6 @@ def solve_exact_jacobi(problem, x0_1, x0_2, config=None):
     """
 
     def step(x1, x2, res):
-        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2))
+        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2, res))
 
     return _drive(problem, x0_1, x0_2, config, step, "exact-jacobi")

@@ -170,6 +170,7 @@ def trajectory_csv_rows(problem, report):
     rows = [header]
     for rec in report.trajectory:
         backtracks = 0 if rec.certificate is None else rec.certificate.backtracks
+        point = problem.at(rec.x1, rec.x2)
         rows.append(
             [str(rec.k)]
             + [_fmt(v) for v in rec.x1]
@@ -179,8 +180,8 @@ def trajectory_csv_rows(problem, report):
                 _fmt(np.linalg.norm(rec.g2)),
                 _fmt(rec.t),
                 str(backtracks),
-                _fmt(problem.value1(rec.x1, rec.x2)),
-                _fmt(problem.value2(rec.x1, rec.x2)),
+                _fmt(point.value1),
+                _fmt(point.value2),
             ]
         )
     return rows

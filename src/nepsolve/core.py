@@ -4,6 +4,12 @@ A problem is a pair of smooth objectives f1(x1, x2), f2(x1, x2), each player
 minimizing over their own block. Analytic derivative oracles are optional;
 central finite differences fill any gap and double as the cross-check used
 by the derivative validation diagnostics.
+
+The solvers read a problem one point at a time: `NepProblem.at` gives
+everything at (x1, x2) (values, gradients, the four Hessian blocks), from
+the problem's fused `point` oracle when it has one and otherwise from the
+per-oracle callables. A residual carries its point, so one iterate is
+evaluated once.
 """
 
 from dataclasses import dataclass, field
@@ -65,6 +71,64 @@ def finite_diff_jacobian(g, x):
     return jac
 
 
+class _OraclePoint:
+    """A problem without a fused oracle at one point.
+
+    Each quantity is computed when it is read: by its per-oracle callable,
+    or by that oracle's central difference when the callable is missing
+    (symmetrized for the own blocks hess11/hess22).
+    """
+
+    __slots__ = ("_problem", "_x1", "_x2")
+
+    def __init__(self, problem, x1, x2):
+        self._problem = problem
+        self._x1 = x1
+        self._x2 = x2
+
+    def _derivative(self, oracle, shape):
+        fn = getattr(self._problem, oracle)
+        if fn is None:
+            return self._problem.finite_difference(oracle, self._x1, self._x2)
+        return shape(np.asarray(fn(self._x1, self._x2), dtype=float))
+
+    def _own_block(self, oracle):
+        h = self._derivative(oracle, np.atleast_2d)
+        return h if getattr(self._problem, oracle) is not None else 0.5 * (h + h.T)
+
+    @property
+    def value1(self):
+        return float(self._problem.f1(self._x1, self._x2))
+
+    @property
+    def value2(self):
+        return float(self._problem.f2(self._x1, self._x2))
+
+    @property
+    def grad1(self):
+        return self._derivative("grad1", np.atleast_1d)
+
+    @property
+    def grad2(self):
+        return self._derivative("grad2", np.atleast_1d)
+
+    @property
+    def hess11(self):
+        return self._own_block("hess11")
+
+    @property
+    def hess22(self):
+        return self._own_block("hess22")
+
+    @property
+    def mixed12(self):
+        return self._derivative("hess12_f1", np.atleast_2d)
+
+    @property
+    def mixed21(self):
+        return self._derivative("hess21_f2", np.atleast_2d)
+
+
 @dataclass(frozen=True)
 class NepProblem:
     """Dimensions plus evaluation oracles for a two-player NEP.
@@ -77,6 +141,16 @@ class NepProblem:
     row of the full Newton system). A missing oracle falls back to its
     central difference, `finite_difference`: of f1/f2 for a gradient, of
     the gradient accessor for a Hessian block (symmetrized for hess11/hess22).
+
+    point is the optional fused oracle: point(x1, x2) returns an object
+    whose attributes value1, value2 (floats), grad1, grad2 (vectors),
+    hess11, hess22, mixed12 and mixed21 (n1 x n2 and n2 x n1 blocks) are
+    everything the solvers read at (x1, x2), so that work shared between
+    them (the facility game's client distances) is done once per point.
+    When it is given, the solvers and the accessors read it instead of the
+    per-oracle callables, which must agree with it. Without it, a point
+    reads the per-oracle callables (or their central differences), one
+    quantity at a time.
     """
 
     n1: int
@@ -90,13 +164,28 @@ class NepProblem:
     hess12_f1: Optional[Callable] = None
     hess21_f2: Optional[Callable] = None
     name: str = field(default="")
+    point: Optional[Callable] = None
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("player dimensions must be >= 1")
 
-    def _point(self, x1, x2):
+    def _checked(self, x1, x2):
         return _as_vector(x1, self.n1, "x1"), _as_vector(x2, self.n2, "x2")
+
+    def _at(self, x1, x2):
+        # the solver loops build their points from checked vectors
+        if self.point is not None:
+            return self.point(x1, x2)
+        return _OraclePoint(self, x1, x2)
+
+    def at(self, x1, x2):
+        """The problem at (x1, x2): see the `point` oracle for what it holds.
+
+        Each quantity is computed when it is read, so a caller reads each
+        at most once.
+        """
+        return self._at(*self._checked(x1, x2))
 
     def finite_difference(self, oracle, x1, x2):
         """Central difference that stands in for the named optional oracle.
@@ -104,7 +193,7 @@ class NepProblem:
         grad1/grad2 difference f1/f2; the Hessian blocks difference the
         gradient accessors. The result is not symmetrized.
         """
-        x1, x2 = self._point(x1, x2)
+        x1, x2 = self._checked(x1, x2)
         # oracle -> (function differenced, block it is differenced in)
         g, x = {
             "grad1": (lambda z: self.f1(z, x2), x1),
@@ -117,69 +206,65 @@ class NepProblem:
         jac = finite_diff_jacobian(g, x)
         return jac[0] if oracle in ("grad1", "grad2") else jac
 
-    def _derivative(self, oracle, x1, x2, shape):
-        fn = getattr(self, oracle)
-        if fn is None:
-            return self.finite_difference(oracle, x1, x2)
-        x1, x2 = self._point(x1, x2)
-        return shape(np.asarray(fn(x1, x2), dtype=float))
-
-    # -- objective evaluation -------------------------------------------------
+    # -- single quantities, each from its own point --------------------------
 
     def value1(self, x1, x2):
-        return float(self.f1(*self._point(x1, x2)))
+        return self.at(x1, x2).value1
 
     def value2(self, x1, x2):
-        return float(self.f2(*self._point(x1, x2)))
-
-    # -- derivatives: the oracle, else its central difference ------------------
+        return self.at(x1, x2).value2
 
     def gradient1(self, x1, x2):
-        return self._derivative("grad1", x1, x2, np.atleast_1d)
+        return self.at(x1, x2).grad1
 
     def gradient2(self, x1, x2):
-        return self._derivative("grad2", x1, x2, np.atleast_1d)
+        return self.at(x1, x2).grad2
 
     def hessian11(self, x1, x2):
-        h = self._derivative("hess11", x1, x2, np.atleast_2d)
-        return h if self.hess11 is not None else 0.5 * (h + h.T)
+        return self.at(x1, x2).hess11
 
     def hessian22(self, x1, x2):
-        h = self._derivative("hess22", x1, x2, np.atleast_2d)
-        return h if self.hess22 is not None else 0.5 * (h + h.T)
+        return self.at(x1, x2).hess22
 
     def mixed12_f1(self, x1, x2):
         """n1 x n2 mixed block of f1 (derivative of grad1 w.r.t. x2)."""
-        return self._derivative("hess12_f1", x1, x2, np.atleast_2d)
+        return self.at(x1, x2).mixed12
 
     def mixed21_f2(self, x1, x2):
         """n2 x n1 mixed block of f2 (derivative of grad2 w.r.t. x1)."""
-        return self._derivative("hess21_f2", x1, x2, np.atleast_2d)
+        return self.at(x1, x2).mixed21
 
 
 @dataclass(frozen=True)
 class Residual:
-    """Stacked first-order residual (g1, g2) and its Euclidean norm."""
+    """Stacked first-order residual (g1, g2), its Euclidean norm, and the
+    point evaluation it was read from, for the rest of the iteration."""
 
     g1: np.ndarray
     g2: np.ndarray
     norm: float
+    point: object = field(repr=False, compare=False)
 
 
-def evaluate_residual(problem, x1, x2):
+def evaluate_residual(problem, x1, x2, point=None):
     """First-order optimality residual at (x1, x2).
 
-    Raises NonFiniteEvaluation when either gradient oracle returns NaN/Inf,
-    which callers interpret as divergence.
+    point is the problem's evaluation at (x1, x2) when the caller already
+    has one (the run loop, whose iterates need no validation); otherwise
+    the arguments are checked and the point is made here. Raises
+    NonFiniteEvaluation when either gradient is NaN/Inf, which callers
+    interpret as divergence.
     """
-    g1 = problem.gradient1(x1, x2)
-    g2 = problem.gradient2(x1, x2)
+    if point is None:
+        point = problem.at(x1, x2)
+    g1 = point.grad1
+    g2 = point.grad2
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
         raise NonFiniteEvaluation(
             f"gradient oracle returned a non-finite value for {problem.name!r}"
         )
     norm = float(np.linalg.norm(np.concatenate([g1, g2])))
-    return Residual(g1=g1, g2=g2, norm=norm)
+    return Residual(g1=g1, g2=g2, norm=norm, point=point)
 
 
 class PointKind(Enum):
@@ -203,14 +288,14 @@ def classify_point(problem, x1, x2, tol, res=None):
     A point is an equilibrium candidate when the residual norm is within tol
     and both per-player Hessian blocks are positive semidefinite up to
     EPS_PSD (second-order necessary conditions). The residual at (x1, x2)
-    may be passed in to avoid evaluating it again.
+    may be passed in; its point then supplies the Hessian blocks too.
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     if res is None:
         res = evaluate_residual(problem, x1, x2)
-    h11 = problem.hessian11(x1, x2)
-    h22 = problem.hessian22(x1, x2)
+    h11 = res.point.hess11
+    h22 = res.point.hess22
     if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     min1 = spectral_bounds_sym(h11)[0]

@@ -93,10 +93,11 @@ def estimate_assumptions(problem, box, samples, seed):
         d2 = rng.uniform(-1.0, 1.0, size=n2)
 
         x1, x2 = x[:n1], x[n1:]
-        m1 = problem.mixed12_f1(x1, x2)
-        m2 = problem.mixed21_f2(x1, x2)
-        g1 = problem.gradient1(x1, x2)
-        g2 = problem.gradient2(x1, x2)
+        point = problem.at(x1, x2)
+        m1 = point.mixed12
+        m2 = point.mixed21
+        g1 = point.grad1
+        g2 = point.grad2
         if not all(
             np.all(np.isfinite(v)) for v in (m1, m2, g1, g2)
         ):
@@ -220,7 +221,8 @@ def verify_lemma_bounds(run, est):
     c_k_values = []
 
     for rec in run.trajectory:
-        H1, H2 = build_surrogates(problem, rec.x1, rec.x2, config)
+        point = problem.at(rec.x1, rec.x2)
+        H1, H2 = build_surrogates(problem, rec.x1, rec.x2, config, point)
         lo1, hi1 = spectral_bounds_sym(H1.matrix)
         lo2, hi2 = spectral_bounds_sym(H2.matrix)
         lam_lo = min(lo1, lo2)
@@ -228,8 +230,8 @@ def verify_lemma_bounds(run, est):
         lam_lo_run = min(lam_lo_run, lam_lo)
         lam_hi_run = max(lam_hi_run, lam_hi)
 
-        mixed1 = problem.mixed12_f1(rec.x1, rec.x2)
-        mixed2 = problem.mixed21_f2(rec.x1, rec.x2)
+        mixed1 = point.mixed12
+        mixed2 = point.mixed21
         c_h_point = max(np.linalg.norm(mixed1, 2), np.linalg.norm(mixed2, 2))
         c_h_run = max(c_h_run, c_h_point)
 

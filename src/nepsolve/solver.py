@@ -199,15 +199,20 @@ def _exact_surrogate(block):
     return modified_cholesky(block, CHOL_FLOOR)
 
 
-def build_surrogates(problem, x1, x2, config):
-    """Positive definite per-player Hessian surrogates for one iteration."""
+def build_surrogates(problem, x1, x2, config, point=None):
+    """Positive definite per-player Hessian surrogates for one iteration.
+
+    point is the problem's evaluation at (x1, x2), when the caller has it.
+    """
     if config.hessian_strategy is HessianStrategy.USER_SUPPLIED:
         return (
             modified_cholesky(config.user_h1, CHOL_FLOOR),
             modified_cholesky(config.user_h2, CHOL_FLOOR),
         )
-    h11 = problem.hessian11(x1, x2)
-    h22 = problem.hessian22(x1, x2)
+    if point is None:
+        point = problem.at(x1, x2)
+    h11 = point.hess11
+    h22 = point.hess22
     if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     return _exact_surrogate(h11), _exact_surrogate(h22)
@@ -243,19 +248,25 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
     to the predicted gradient, and a lower bound on the direction size
     relative to that gradient (vacuous for a stationary player).
 
+    The problem is evaluated at three points, (x1, y2), (y1, x2) and the
+    trial point (y1, y2), with y = x + t*d.
+
     Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
     treats that as a rejected trial and notes possible divergence.
     """
     d1, d2 = direction.d1, direction.d2
     y1 = x1 + t * d1
     y2 = x2 + t * d2
+    pred1 = problem._at(x1, y2)  # player 1 against the predicted x2
+    pred2 = problem._at(y1, x2)
+    trial = problem._at(y1, y2)
 
-    p1 = problem.gradient1(x1, y2)
-    p2 = problem.gradient2(y1, x2)
-    f1_trial = problem.value1(y1, y2)
-    f1_pred = problem.value1(x1, y2)
-    f2_trial = problem.value2(y1, y2)
-    f2_pred = problem.value2(y1, x2)
+    p1 = pred1.grad1
+    p2 = pred2.grad2
+    f1_trial = trial.value1
+    f1_pred = pred1.value1
+    f2_trial = trial.value2
+    f2_pred = pred2.value2
     values = np.concatenate([p1, p2, [f1_trial, f1_pred, f2_trial, f2_pred]])
     if not np.all(np.isfinite(values)):
         raise NonFiniteEvaluation("non-finite evaluation at a trial point")
@@ -283,16 +294,17 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
 def _descent_step(problem, config, x1, x2, res):
     """One descent Newton iteration from (x1, x2), whose residual is res.
 
-    Builds the Hessian surrogates and mixed blocks once; then, with t reset
-    to 1, repeatedly safeguards the mixed blocks, solves the block system
-    (halving t when it is singular) and tests the six inequalities, halving
-    t on rejection, until a step is accepted or t falls below T_MIN.
+    Builds the Hessian surrogates and mixed blocks once, from the point the
+    residual was read from; then, with t reset to 1, repeatedly safeguards
+    the mixed blocks, solves the block system (halving t when it is
+    singular) and tests the six inequalities, halving t on rejection, until
+    a step is accepted or t falls below T_MIN.
     Returns the accepted step in the form `_drive` takes, or DIVERGED /
     LINE_SEARCH_FAILURE when no trial was accepted.
     """
-    H1, H2 = build_surrogates(problem, x1, x2, config)
-    mixed1 = problem.mixed12_f1(x1, x2)
-    mixed2 = problem.mixed21_f2(x1, x2)
+    H1, H2 = build_surrogates(problem, x1, x2, config, res.point)
+    mixed1 = res.point.mixed12
+    mixed2 = res.point.mixed21
     if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
         raise NonFiniteEvaluation("mixed Hessian block is non-finite")
 
@@ -327,14 +339,17 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     """The outer loop of every solver, from (x0_1, x0_2) to a terminal status.
 
     Per iteration: stop as diverged beyond the divergence radius, evaluate
-    the residual, stop on convergence or the iteration cap, then call
-    step(x1, x2, res). A step returns either the terminal status it ran
-    into or (x1_next, x2_next, t, d1, d2, certificate); the loop then
-    records the iterate and moves to the next point.
+    the problem at the iterate and read the residual from it, stop on
+    convergence (classifying the point from the same evaluation) or the
+    iteration cap, then call step(x1, x2, res); res.point serves the step
+    too. A step returns either the terminal status it ran into or
+    (x1_next, x2_next, t, d1, d2, certificate); the loop then records the
+    iterate and moves to the next point.
 
-    Malformed inputs raise ValueError on entry; every failure inside the
-    loop is a status: a non-finite evaluation is DIVERGED, a singular
-    system, failed inner solve or overflowing Hessian shift UNDEFINED_STEP.
+    Malformed inputs raise ValueError on entry, the only place the loop
+    validates a point; every failure inside the loop is a status: a
+    non-finite evaluation is DIVERGED, a singular system, failed inner
+    solve or overflowing Hessian shift UNDEFINED_STEP.
     """
     config = config or SolverConfig()
     x1 = np.atleast_1d(np.asarray(x0_1, dtype=float)).copy()
@@ -353,7 +368,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
                 status = SolveStatus.DIVERGED
                 break
-            res = evaluate_residual(problem, x1, x2)
+            res = evaluate_residual(problem, x1, x2, problem._at(x1, x2))
             if res.norm <= config.grad_tol:
                 status = SolveStatus.CONVERGED
                 classification = classify_point(problem, x1, x2, config.grad_tol, res=res)

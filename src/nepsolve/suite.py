@@ -3,6 +3,7 @@ facility location model in 1-D and 2-D, and a seeded generator of strictly
 convex quadratic games."""
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -154,45 +155,87 @@ class FacilityInstance:
         object.__setattr__(self, "profits2", p2)
 
 
-def _facility_sq_dists(own, other, clients):
-    du = own - clients
-    dv = other - clients
-    u = np.einsum("ij,ij->i", du, du)
-    v = np.einsum("ij,ij->i", dv, dv)
-    return du, dv, u, v
+# Player i's share is f_i = sum_j b_j u_j / s_j, with u_j the player's own
+# squared distance to client j, v_j the opponent's and s_j = u_j + v_j.
+# Player 2's formulas are player 1's with the roles of u and v (and of the
+# two offsets x - z_j) swapped; u + v and v + u have the same bits.
 
 
-def _facility_value(b, own, other, clients):
-    _, _, u, v = _facility_sq_dists(own, other, clients)
+def _share(b, u, s):
     with np.errstate(divide="ignore", invalid="ignore"):
-        vals = b * u / (u + v)
-    return float(np.sum(vals))
+        vals = b * u / s
+    return float(vals.sum())
 
 
-def _facility_grad_own(b, own, other, clients):
-    # d/d own of sum_j b_j u_j / (u_j + v_j) = sum_j b_j 2 (own - z_j) v_j / (u_j + v_j)^2
-    du, _, u, v = _facility_sq_dists(own, other, clients)
+def _share_grad(b, du, v, s):
+    # d/d own of f: sum_j 2 b_j (own - z_j) v_j / s_j^2
     with np.errstate(divide="ignore", invalid="ignore"):
-        w = 2.0 * b * v / (u + v) ** 2
+        w = 2.0 * b * v / s**2
     return (w[:, None] * du).sum(axis=0)
 
 
-def _facility_hess_own(b, own, other, clients):
+def _share_hess_own(b, du, v, s):
     # d/d own of the own gradient: sum_j (2 b_j v_j / s_j^2) I - (8 b_j v_j / s_j^3) du_j du_j^T
-    du, _, u, v = _facility_sq_dists(own, other, clients)
-    s = u + v
     with np.errstate(divide="ignore", invalid="ignore"):
         w = 2.0 * b * v / s**2
         c = 8.0 * b * v / s**3
-    return w.sum() * np.eye(own.size) - (c[:, None] * du).T @ du
+    return w.sum() * np.eye(du.shape[1]) - (c[:, None] * du).T @ du
 
 
-def _facility_hess_mixed(b, own, other, clients):
+def _share_hess_mixed(b, du, dv, u, v, s):
     # d/d other of the own gradient: sum_j 4 b_j (u_j - v_j) / s_j^3 du_j dv_j^T
-    du, dv, u, v = _facility_sq_dists(own, other, clients)
     with np.errstate(divide="ignore", invalid="ignore"):
-        c = 4.0 * b * (u - v) / (u + v) ** 3
+        c = 4.0 * b * (u - v) / s**3
     return (c[:, None] * du).T @ dv
+
+
+class _FacilityPoint:
+    """The facility game at (x1, x2): the client offsets x1 - z and x2 - z,
+    their squared lengths u and v and s = u + v are computed here, once;
+    every other quantity when it is read."""
+
+    __slots__ = ("_b1", "_b2", "_d1", "_d2", "_u", "_v", "_s")
+
+    def __init__(self, instance, x1, x2):
+        self._b1 = instance.profits1
+        self._b2 = instance.profits2
+        self._d1 = d1 = x1 - instance.clients
+        self._d2 = d2 = x2 - instance.clients
+        self._u = u = np.einsum("ij,ij->i", d1, d1)
+        self._v = v = np.einsum("ij,ij->i", d2, d2)
+        self._s = u + v
+
+    @property
+    def value1(self):
+        return _share(self._b1, self._u, self._s)
+
+    @property
+    def value2(self):
+        return _share(self._b2, self._v, self._s)
+
+    @property
+    def grad1(self):
+        return _share_grad(self._b1, self._d1, self._v, self._s)
+
+    @property
+    def grad2(self):
+        return _share_grad(self._b2, self._d2, self._u, self._s)
+
+    @property
+    def hess11(self):
+        return _share_hess_own(self._b1, self._d1, self._v, self._s)
+
+    @property
+    def hess22(self):
+        return _share_hess_own(self._b2, self._d2, self._u, self._s)
+
+    @property
+    def mixed12(self):
+        return _share_hess_mixed(self._b1, self._d1, self._d2, self._u, self._v, self._s)
+
+    @property
+    def mixed21(self):
+        return _share_hess_mixed(self._b2, self._d2, self._d1, self._v, self._u, self._s)
 
 
 def make_facility(instance):
@@ -200,23 +243,24 @@ def make_facility(instance):
 
     Objectives, gradients and all four second-derivative blocks are
     analytic. They are undefined (non-finite) when both facilities sit
-    exactly on one client.
+    exactly on one client. The fused `point` oracle computes the client
+    distances once per point; the eight per-oracle callables are read off
+    it, so the formulas exist once.
     """
-    z = instance.clients
-    b1 = instance.profits1
-    b2 = instance.profits2
+    point = partial(_FacilityPoint, instance)
     return NepProblem(
         n1=instance.dim,
         n2=instance.dim,
-        f1=lambda x1, x2: _facility_value(b1, x1, x2, z),
-        f2=lambda x1, x2: _facility_value(b2, x2, x1, z),
-        grad1=lambda x1, x2: _facility_grad_own(b1, x1, x2, z),
-        grad2=lambda x1, x2: _facility_grad_own(b2, x2, x1, z),
-        hess11=lambda x1, x2: _facility_hess_own(b1, x1, x2, z),
-        hess22=lambda x1, x2: _facility_hess_own(b2, x2, x1, z),
-        hess12_f1=lambda x1, x2: _facility_hess_mixed(b1, x1, x2, z),
-        hess21_f2=lambda x1, x2: _facility_hess_mixed(b2, x2, x1, z),
+        f1=lambda x1, x2: point(x1, x2).value1,
+        f2=lambda x1, x2: point(x1, x2).value2,
+        grad1=lambda x1, x2: point(x1, x2).grad1,
+        grad2=lambda x1, x2: point(x1, x2).grad2,
+        hess11=lambda x1, x2: point(x1, x2).hess11,
+        hess22=lambda x1, x2: point(x1, x2).hess22,
+        hess12_f1=lambda x1, x2: point(x1, x2).mixed12,
+        hess21_f2=lambda x1, x2: point(x1, x2).mixed21,
         name=f"facility{instance.dim}d",
+        point=point,
     )
 
 

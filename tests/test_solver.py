@@ -6,16 +6,19 @@ import pytest
 from nepsolve import (
     HessianStrategy,
     NepProblem,
+    PointKind,
     SolveStatus,
     SolverConfig,
     check_inequalities,
     compute_direction,
     evaluate_residual,
+    get_problem,
     make_example,
     modified_cholesky,
     random_quadratic_nep,
     safeguard_mixed_blocks,
     solve,
+    solve_exact_jacobi,
     solve_newton_kkt,
 )
 import nepsolve.solver as solver_mod
@@ -381,6 +384,102 @@ def test_residual_evaluated_once_per_iterate():
     report = solve(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED and report.iterations == 1
     assert calls == {"grad1": 3, "grad2": 3}
+
+
+#: the per-oracle callables of a problem, which a fused point oracle replaces
+PER_ORACLE_FIELDS = ("f1", "f2", "grad1", "grad2", "hess11", "hess22", "hess12_f1", "hess21_f2")
+
+
+def _count_point_evaluations(problem):
+    """The problem with its point oracle counted and every per-oracle
+    callable made to fail, plus the list of evaluated points."""
+    points = []
+
+    def point(x1, x2):
+        points.append((x1, x2))
+        return problem.point(x1, x2)
+
+    def forbidden(*args):
+        raise AssertionError("a per-oracle callable was called")
+
+    fields = dict.fromkeys(PER_ORACLE_FIELDS, forbidden)
+    return dataclasses.replace(problem, point=point, **fields), points
+
+
+def test_descent_newton_evaluates_each_point_once(monkeypatch):
+    # per iterate one point (residual, surrogates, mixed blocks and the final
+    # classification), per trial three: (x1, y2), (y1, x2) and (y1, y2)
+    problem, points = _count_point_evaluations(get_problem("facility2d"))
+    trials = []
+    compute_direction_ = solver_mod.compute_direction
+
+    def counted(*args, **kwargs):
+        trials.append(args[7])  # the trial's t
+        return compute_direction_(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "compute_direction", counted)
+    report = solve(problem, [2.0, 3.0], [-3.0, 2.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert len(trials) > report.iterations  # some trial was rejected
+    assert len(points) == report.iterations + 1 + 3 * len(trials)
+
+
+def test_newton_kkt_evaluates_each_iterate_once(monkeypatch):
+    problem, points = _count_point_evaluations(get_problem("facility2d"))
+    residuals = []
+    evaluate_residual_ = solver_mod.evaluate_residual
+
+    def counted(*args, **kwargs):
+        residuals.append(args[1:3])
+        return evaluate_residual_(*args, **kwargs)
+
+    monkeypatch.setattr(solver_mod, "evaluate_residual", counted)
+    report = solve_newton_kkt(problem, [2.0, 3.0], [-3.0, 2.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert len(points) == len(residuals) == report.iterations + 1
+
+
+def test_exact_jacobi_evaluates_no_point_twice():
+    # both per-player solves start from the iterate's residual and point,
+    # and an accepted inner trial point is the next inner iterate
+    problem, points = _count_point_evaluations(get_problem("facility2d"))
+    report = solve_exact_jacobi(problem, [2.0, 3.0], [-3.0, 2.0])
+    assert report.status is SolveStatus.CONVERGED
+    keys = [(x1.tobytes(), x2.tobytes()) for x1, x2 in points]
+    assert len(set(keys)) == len(keys) > 2 * (report.iterations + 1)
+
+    # without a point oracle, no gradient is computed twice at one point
+    problem = get_problem("quadratic:0:5x5")
+    calls = []
+
+    def counted(name):
+        oracle = getattr(problem, name)
+
+        def wrapper(x1, x2):
+            calls.append((name, x1.tobytes(), x2.tobytes()))
+            return oracle(x1, x2)
+
+        return wrapper
+
+    problem = dataclasses.replace(problem, grad1=counted("grad1"), grad2=counted("grad2"))
+    report = solve_exact_jacobi(problem, np.zeros(5), np.zeros(5))
+    assert report.status is SolveStatus.CONVERGED
+    assert len(set(calls)) == len(calls) > 2 * (report.iterations + 1)
+
+
+def test_problem_without_point_oracle_solves_as_before():
+    # examp5 has per-oracle callables only, so its points read them one at a
+    # time; the report is the one recorded before the point oracle existed
+    problem = make_example(5)
+    assert problem.point is None
+    report = solve(problem, [-5.0], [1.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert report.classification.kind is PointKind.EQUILIBRIUM_CANDIDATE
+    assert [rec.certificate.backtracks for rec in report.trajectory] == [1, 1, 0, 0, 1, 0, 0, 0]
+    end = (*report.final_x1, *report.final_x2, report.final_residual)
+    assert [float(v).hex() for v in end] == [
+        "0x1.7805000000000p-48", "0x1.7805000000000p-48", "0x1.09e2ce4d17028p-47",
+    ]
 
 
 def _eigvalsh_rule(block):

@@ -14,6 +14,7 @@ from nepsolve import (
     get_problem,
     make_example,
     make_facility,
+    make_facility_1d_instance,
     make_facility_2d_paper,
     modified_cholesky,
     random_quadratic_nep,
@@ -294,3 +295,124 @@ def test_registry_rejects_unknown_and_malformed():
     for bad in ("quadratic:7:2by3", "quadratic:0:0x3", "quadratic:-1:2x2"):
         with pytest.raises(UnknownProblemId):
             get_problem(bad)
+
+
+# ---------------------------------------------------------------------------
+# the fused facility point against the per-oracle formulas
+# ---------------------------------------------------------------------------
+
+POINT_QUANTITIES = ("value1", "value2", "grad1", "grad2", "hess11", "hess22", "mixed12", "mixed21")
+
+#: the per-oracle callable that each point quantity stands for
+ORACLE_OF = dict(
+    zip(
+        POINT_QUANTITIES,
+        ("f1", "f2", "grad1", "grad2", "hess11", "hess22", "hess12_f1", "hess21_f2"),
+    )
+)
+
+
+def per_oracle_facility(instance):
+    """The facility formulas as eight separate oracles, each computing the
+    client distances itself: the form the fused point must reproduce bit
+    for bit."""
+    z, b1, b2 = instance.clients, instance.profits1, instance.profits2
+
+    def sq_dists(own, other):
+        du = own - z
+        dv = other - z
+        return du, dv, np.einsum("ij,ij->i", du, du), np.einsum("ij,ij->i", dv, dv)
+
+    def value(b, own, other):
+        _, _, u, v = sq_dists(own, other)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = b * u / (u + v)
+        return float(np.sum(vals))
+
+    def grad_own(b, own, other):
+        du, _, u, v = sq_dists(own, other)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 2.0 * b * v / (u + v) ** 2
+        return (w[:, None] * du).sum(axis=0)
+
+    def hess_own(b, own, other):
+        du, _, u, v = sq_dists(own, other)
+        s = u + v
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = 2.0 * b * v / s**2
+            c = 8.0 * b * v / s**3
+        return w.sum() * np.eye(own.size) - (c[:, None] * du).T @ du
+
+    def hess_mixed(b, own, other):
+        du, dv, u, v = sq_dists(own, other)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = 4.0 * b * (u - v) / (u + v) ** 3
+        return (c[:, None] * du).T @ dv
+
+    return {
+        "value1": lambda x1, x2: value(b1, x1, x2),
+        "value2": lambda x1, x2: value(b2, x2, x1),
+        "grad1": lambda x1, x2: grad_own(b1, x1, x2),
+        "grad2": lambda x1, x2: grad_own(b2, x2, x1),
+        "hess11": lambda x1, x2: hess_own(b1, x1, x2),
+        "hess22": lambda x1, x2: hess_own(b2, x2, x1),
+        "mixed12": lambda x1, x2: hess_mixed(b1, x1, x2),
+        "mixed21": lambda x1, x2: hess_mixed(b2, x2, x1),
+    }
+
+
+def facility_instances():
+    """facility1d, facility2d and the asymmetric-profit instances of
+    test_facility_hessian_blocks_closed_form."""
+    instances = {
+        "facility1d": make_facility_1d_instance(),
+        "facility2d": FacilityInstance(
+            dim=2,
+            clients=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+            profits1=np.array([1.0, 2.0, 1.0, 1.0]),
+            profits2=np.array([1.0, 2.0, 2.0, 3.0]),
+        ),
+    }
+    for dim in (1, 2):
+        instances[f"asymmetric{dim}d"] = FacilityInstance(
+            dim=dim,
+            clients=np.random.default_rng(21 + dim).uniform(-2.0, 2.0, size=(4, dim)),
+            profits1=np.array([1.0, 2.0, 3.0, 0.5]),
+            profits2=np.array([2.0, 1.0, 1.0, 4.0]),
+        )
+    return instances
+
+
+def same_bits(a, b):
+    if isinstance(a, float) or isinstance(b, float):
+        return type(a) is type(b) and a.hex() == b.hex()
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(facility_instances()))
+def test_facility_point_matches_per_oracle_formulas(name):
+    instance = facility_instances()[name]
+    problem = make_facility(instance)
+    formulas = per_oracle_facility(instance)
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        x1, x2 = rng.uniform(-3.0, 3.0, size=(2, instance.dim))
+        point = problem.at(x1, x2)
+        for quantity in POINT_QUANTITIES:
+            expected = formulas[quantity](x1, x2)
+            assert same_bits(getattr(point, quantity), expected), (name, quantity, x1, x2)
+            oracle = getattr(problem, ORACLE_OF[quantity])
+            assert same_bits(oracle(x1, x2), expected), (name, quantity, x1, x2)
+
+
+def test_facility_point_at_client_collision_is_non_finite():
+    # both facilities on the client (0, 1): every quantity is 0/0 there, and
+    # the errstate guards keep that a value rather than a warning
+    problem = get_problem("facility2d")
+    client = np.array([0.0, 1.0])
+    point = problem.at(client, client)
+    for quantity in POINT_QUANTITIES:
+        assert not np.all(np.isfinite(getattr(point, quantity))), quantity
+    report = solve(problem, client, client)
+    assert report.status is SolveStatus.DIVERGED
+    assert report.iterations == 0
