@@ -1,7 +1,12 @@
 """Dense factorizations behind the block Newton system.
 
 Matrices are plain 2-D float64 numpy arrays. LU is LAPACK's getrf/getrs,
-called directly through scipy.linalg.lapack. What this module adds are the
+called directly through scipy's compiled LAPACK wrappers, the extension
+module scipy.linalg._flapack. That extension is loaded by itself, from
+scipy's package directory: `import scipy.linalg` would pull in scipy's
+array-API layer and with it numpy.f2py, numpy.ma, numpy.testing and
+numpy.random, which cost more than everything else `import nepsolve`
+does, for three functions. What this module adds are the
 solver-facing policies: a scale-invariant pivot rule for declaring the
 block system singular, a one-Cholesky test (LAPACK's potrf) of whether a
 symmetric block is positive definite, so that the solver needs eigvalsh
@@ -11,10 +16,41 @@ surrogate. No routine here writes to its arguments, and none copies an
 n x n matrix that it does not need.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+
+
+def _load_flapack():
+    """scipy.linalg._flapack, the module scipy.linalg.lapack re-exports.
+
+    An already imported one is reused; otherwise the extension is executed
+    from <scipy>/linalg without running scipy's or scipy.linalg's
+    __init__, and registered under its own name so that a later
+    `import scipy.linalg` shares this module object.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    scipy_spec = importlib.util.find_spec("scipy")
+    if scipy_spec is None:
+        raise ImportError("nepsolve needs scipy for its LAPACK wrappers")
+    directory = os.path.join(scipy_spec.submodule_search_locations[0], "linalg")
+    spec = importlib.machinery.PathFinder.find_spec(name, [directory])
+    if spec is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {directory}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
+#: scipy's compiled LAPACK wrappers (dgetrf, dgetrs and dpotrf are used)
+lapack = _load_flapack()
 
 
 class SingularMatrixError(RuntimeError):

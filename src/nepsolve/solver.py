@@ -218,28 +218,36 @@ def build_surrogates(problem, x1, x2, config, point=None):
     return _exact_surrogate(h11), _exact_surrogate(h22)
 
 
-def compute_direction(problem, x1, x2, g1, g2, H1, H2, t, config, mixed1=None, mixed2=None):
+def _gradient_norms(g1, g2):
+    return float(np.linalg.norm(g1)), float(np.linalg.norm(g2))
+
+
+def compute_direction(
+    problem, x1, x2, g1, g2, H1, H2, t, config,
+    mixed1=None, mixed2=None, g_norms=None, rhs=None,
+):
     """Solve the safeguarded block system for the tentative step length t.
 
     Raises SingularMatrixError when the assembled matrix fails the pivot
-    test; the iteration then halves t and retries. The mixed blocks may be
-    passed in to avoid re-evaluating them on retries (they depend on the
-    iterate only, not on t).
+    test; the iteration then halves t and retries. What depends on the
+    iterate only, not on t, may be passed in to avoid recomputing it on
+    retries: the mixed blocks, the gradient norms (||g1||, ||g2||) and the
+    right-hand side -[g1; g2].
     """
     if mixed1 is None:
         mixed1 = problem.mixed12_f1(x1, x2)
     if mixed2 is None:
         mixed2 = problem.mixed21_f2(x1, x2)
-    g1n = float(np.linalg.norm(g1))
-    g2n = float(np.linalg.norm(g2))
+    g1n, g2n = g_norms or _gradient_norms(g1, g2)
     M1, M2 = safeguard_mixed_blocks(g1n, g2n, t, config, mixed1, mixed2)
     system = assemble_block_system(H1, H2, M1, M2, t)
-    rhs = -np.concatenate([g1, g2])
+    if rhs is None:
+        rhs = -np.concatenate([g1, g2])
     d = lu_solve(system, rhs)
     return Direction(d1=d[: problem.n1], d2=d[problem.n1 :])
 
 
-def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
+def check_inequalities(problem, x1, x2, g1, g2, direction, t, config, g_norms=None):
     """Evaluate the six acceptance inequalities for a trial step.
 
     Player 1 is judged against f1 parameterized at the predicted opponent
@@ -249,7 +257,8 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
     relative to that gradient (vacuous for a stationary player).
 
     The problem is evaluated at three points, (x1, y2), (y1, x2) and the
-    trial point (y1, y2), with y = x + t*d.
+    trial point (y1, y2), with y = x + t*d. g_norms, the pair (||g1||,
+    ||g2||), may be passed in when the caller has it.
 
     Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
     treats that as a rejected trial and notes possible divergence.
@@ -275,8 +284,7 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
     d2n = float(np.linalg.norm(d2))
     p1n = float(np.linalg.norm(p1))
     p2n = float(np.linalg.norm(p2))
-    g1n = float(np.linalg.norm(g1))
-    g2n = float(np.linalg.norm(g2))
+    g1n, g2n = g_norms or _gradient_norms(g1, g2)
     slope1 = float(p1 @ d1)
     slope2 = float(p2 @ d2)
 
@@ -294,11 +302,12 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config):
 def _descent_step(problem, config, x1, x2, res):
     """One descent Newton iteration from (x1, x2), whose residual is res.
 
-    Builds the Hessian surrogates and mixed blocks once, from the point the
-    residual was read from; then, with t reset to 1, repeatedly safeguards
-    the mixed blocks, solves the block system (halving t when it is
-    singular) and tests the six inequalities, halving t on rejection, until
-    a step is accepted or t falls below T_MIN.
+    Builds the Hessian surrogates, the mixed blocks, the gradient norms and
+    the right-hand side once, from the point the residual was read from;
+    then, with t reset to 1, repeatedly safeguards the mixed blocks, solves
+    the block system (halving t when it is singular) and tests the six
+    inequalities, halving t on rejection, until a step is accepted or t
+    falls below T_MIN.
     Returns the accepted step in the form `_drive` takes, or DIVERGED /
     LINE_SEARCH_FAILURE when no trial was accepted.
     """
@@ -307,6 +316,8 @@ def _descent_step(problem, config, x1, x2, res):
     mixed2 = res.point.mixed21
     if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
         raise NonFiniteEvaluation("mixed Hessian block is non-finite")
+    g_norms = _gradient_norms(res.g1, res.g2)
+    rhs = -np.concatenate([res.g1, res.g2])
 
     t = 1.0
     backtracks = 0
@@ -316,13 +327,15 @@ def _descent_step(problem, config, x1, x2, res):
         try:
             direction = compute_direction(
                 problem, x1, x2, res.g1, res.g2, H1, H2, t, config,
-                mixed1=mixed1, mixed2=mixed2,
+                mixed1=mixed1, mixed2=mixed2, g_norms=g_norms, rhs=rhs,
             )
         except SingularMatrixError:
             singular_halvings += 1
         else:
             try:
-                cert = check_inequalities(problem, x1, x2, res.g1, res.g2, direction, t, config)
+                cert = check_inequalities(
+                    problem, x1, x2, res.g1, res.g2, direction, t, config, g_norms=g_norms
+                )
                 if cert.accepted:
                     cert = replace(cert, backtracks=backtracks, singular_halvings=singular_halvings)
                     d1, d2 = direction.d1, direction.d2

@@ -1,5 +1,8 @@
+import subprocess
+import sys
 import types
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +69,39 @@ def test_lu_matches_scipy_lu_factor_and_lu_solve(monkeypatch, n):
         assert np.array_equal(factors[-1][1], piv)
         expected = scipy.linalg.lu_solve((lu, piv), b)
         assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+
+
+def _fresh_python(code):
+    """Run code in a new interpreter that imports this nepsolve; its stdout."""
+    src = str(Path(linalg_mod.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True,
+    )
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_linalg_unimported():
+    # this process cannot tell: pytest's filterwarnings setting names
+    # scipy.linalg.LinAlgWarning and so imports scipy.linalg itself
+    loaded = _fresh_python(
+        "import nepsolve, nepsolve.cli; print('scipy.linalg' in sys.modules)"
+    )
+    assert loaded == "False"
+
+
+@pytest.mark.parametrize("order", [
+    "import nepsolve.linalg as n; import scipy.linalg as s",
+    "import scipy.linalg as s; import nepsolve.linalg as n",
+], ids=["nepsolve-first", "scipy-first"])
+def test_lapack_routines_are_scipys(order):
+    # either import order ends with one _flapack module, whose wrappers
+    # scipy.linalg.lapack re-exports
+    same = _fresh_python(
+        f"{order}; print(n.lapack is sys.modules['scipy.linalg._flapack'] and all("
+        "getattr(n.lapack, f) is getattr(s.lapack, f) for f in ('dgetrf', 'dgetrs', 'dpotrf')))"
+    )
+    assert same == "True"
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
