@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import spectral_bounds_sym
+from .linalg import _symmetric_part, cholesky_settles, spectral_bounds_sym
 
 #: PSD tolerance of the final classification: a Hessian block counts as
 #: positive semidefinite when its smallest eigenvalue is at least -EPS_PSD
@@ -273,13 +273,43 @@ class PointKind(Enum):
     NON_STATIONARY = "non-stationary"
 
 
-@dataclass(frozen=True)
 class PointClass:
-    """Classification of a point plus the per-player Hessian spectra edges."""
+    """Second-order classification of a point.
 
-    kind: PointKind
-    min_eig_1: float
-    min_eig_2: float
+    kind is the label. min_eig_1 and min_eig_2 are the smallest eigenvalues
+    of player 1's and player 2's own Hessian blocks, as
+    spectral_bounds_sym(block)[0] gives them. PointClass(kind, min_eig_1,
+    min_eig_2) holds given values. classify_point passes the blocks instead
+    (blocks=(hess11, hess22)), with any value it has already computed; each
+    missing value is computed on its first read and then kept, so a caller
+    that reads only kind runs no eigendecomposition.
+    """
+
+    __slots__ = ("kind", "_min_eigs", "_blocks")
+
+    def __init__(self, kind, min_eig_1=None, min_eig_2=None, blocks=None):
+        self.kind = kind
+        self._min_eigs = [min_eig_1, min_eig_2]
+        self._blocks = blocks
+
+    def _min_eig(self, i):
+        if self._min_eigs[i] is None:
+            self._min_eigs[i] = spectral_bounds_sym(self._blocks[i])[0]
+        return self._min_eigs[i]
+
+    @property
+    def min_eig_1(self):
+        return self._min_eig(0)
+
+    @property
+    def min_eig_2(self):
+        return self._min_eig(1)
+
+    def __repr__(self):
+        return (
+            f"PointClass(kind={self.kind}, min_eig_1={self.min_eig_1!r}, "
+            f"min_eig_2={self.min_eig_2!r})"
+        )
 
 
 def classify_point(problem, x1, x2, tol, res=None):
@@ -287,23 +317,34 @@ def classify_point(problem, x1, x2, tol, res=None):
 
     A point is an equilibrium candidate when the residual norm is within tol
     and both per-player Hessian blocks are positive semidefinite up to
-    EPS_PSD (second-order necessary conditions). The residual at (x1, x2)
-    may be passed in; its point then supplies the Hessian blocks too.
+    EPS_PSD (second-order necessary conditions): eigvalsh puts neither
+    block's smallest eigenvalue below -EPS_PSD. One Cholesky settles most
+    blocks (see linalg.cholesky_settles); eigvalsh decides the rest. The
+    residual at (x1, x2) may be passed in; its point then supplies the
+    Hessian blocks too.
     """
-    if tol <= 0:
+    # negated so that NaN fails it too
+    if not tol > 0:
         raise ValueError("tolerance must be positive")
     if res is None:
         res = evaluate_residual(problem, x1, x2)
-    h11 = res.point.hess11
-    h22 = res.point.hess22
-    if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
+    blocks = tuple(
+        np.atleast_2d(np.asarray(h, dtype=float)) for h in (res.point.hess11, res.point.hess22)
+    )
+    if not all(np.all(np.isfinite(h)) for h in blocks):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
-    min1 = spectral_bounds_sym(h11)[0]
-    min2 = spectral_bounds_sym(h22)[0]
+    min_eigs = [None, None]
+
+    def psd(i):
+        if cholesky_settles(_symmetric_part(blocks[i]), EPS_PSD):
+            return True
+        min_eigs[i] = spectral_bounds_sym(blocks[i])[0]
+        return min_eigs[i] >= -EPS_PSD
+
     if res.norm > tol:
         kind = PointKind.NON_STATIONARY
-    elif min1 >= -EPS_PSD and min2 >= -EPS_PSD:
+    elif psd(0) and psd(1):
         kind = PointKind.EQUILIBRIUM_CANDIDATE
     else:
         kind = PointKind.NON_EQUILIBRIUM_STATIONARY
-    return PointClass(kind=kind, min_eig_1=min1, min_eig_2=min2)
+    return PointClass(kind, *min_eigs, blocks=blocks)

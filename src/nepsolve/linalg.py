@@ -8,12 +8,13 @@ array-API layer and with it numpy.f2py, numpy.ma, numpy.testing and
 numpy.random, which cost more than everything else `import nepsolve`
 does, for three functions. What this module adds are the
 solver-facing policies: a scale-invariant pivot rule for declaring the
-block system singular, a one-Cholesky test (LAPACK's potrf) of whether a
-symmetric block is positive definite, so that the solver needs eigvalsh
-only for a block that fails it, and a doubling diagonal shift, decided by
-the same test, that turns an indefinite Hessian into a positive definite
-surrogate. No routine here writes to its arguments, and none copies an
-n x n matrix that it does not need.
+block system singular, a one-Cholesky test (LAPACK's potrf) that settles
+whether eigvalsh would find a symmetric block positive semidefinite, so
+that the surrogate build and the final classification need eigvalsh only
+for a block the test cannot decide, and a doubling diagonal shift, decided
+by the same potrf, that turns an indefinite Hessian into a positive
+definite surrogate. No routine here writes to its arguments, and none
+copies an n x n matrix that it does not need.
 """
 
 import importlib.machinery
@@ -73,6 +74,11 @@ CHOL_PIVOT_SAFETY = 1e-2
 
 #: cap on the diagonal shift before giving up
 MAX_SHIFT = 1e12
+
+#: a block of order n that passes the Cholesky test settles the eigvalsh
+#: rule at floor only while CHOL_ROUNDING * n * trace <= floor (see
+#: cholesky_settles)
+CHOL_ROUNDING = 16 * np.finfo(float).eps
 
 
 def lu_solve(A, b):
@@ -177,6 +183,24 @@ def _chol_succeeds(M, pivot_floor):
     L, info = lapack.dpotrf(M, lower=1, clean=0)
     # pivots in the LDL^T sense are the squared Cholesky diagonal
     return info == 0 and bool(L.diagonal().min() ** 2 >= pivot_floor)
+
+
+def cholesky_settles(S, floor):
+    """Whether one Cholesky proves eigvalsh's smallest eigenvalue of S >= -floor.
+
+    S is symmetric (a symmetric part, as `_symmetric_part` returns it). The
+    test is potrf with pivots at least floor * CHOL_PIVOT_SAFETY, and it
+    counts only while CHOL_ROUNDING * n * trace(S) <= floor. A successful
+    potrf factors S up to a backward error of order n * eps * trace, and
+    eigvalsh, backward stable, errs by order n * eps * ||S|| <= n * eps *
+    trace, so below that bound eigvalsh cannot put an eigenvalue of S
+    under -floor; the factor 16 in CHOL_ROUNDING is margin. False means
+    only that the test cannot decide: the caller asks eigvalsh.
+    """
+    return (
+        _chol_succeeds(S, floor * CHOL_PIVOT_SAFETY)
+        and CHOL_ROUNDING * S.shape[0] * S.trace() <= floor
+    )
 
 
 def _block(h):

@@ -1,16 +1,22 @@
-"""Speed never buys a changed answer: the exact bits of facility2d runs.
+"""Speed never buys a changed answer: the exact bits of facility2d runs,
+and the exact bytes of the files the CLI writes.
 
-The expected strings were recorded with the per-oracle facility formulas,
+The facility2d strings were recorded with the per-oracle facility formulas,
 before the fused point oracle, and every later change must reproduce them.
 Each holds the status, the iteration count and float.hex of the end point
-(x1, x2) and of the final residual. The facility blocks are 2x2, so the
-BLAS thread count does not move these bits.
+(x1, x2) and of the final residual. The report digests were recorded while
+classify_point still ran eigvalsh on every block, so they pin the
+`classification.min_eig_1/2` fields too. Every problem here has blocks of
+at most 2x2, so the BLAS thread count does not move these bits.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from nepsolve import SolverConfig, get_problem, solve, solve_newton_kkt
+from nepsolve.cli import main
 
 #: the facility study's settings (nepsolve facility-bench)
 CONFIG = SolverConfig(grad_tol=1e-6, divergence_radius=100.0)
@@ -75,3 +81,113 @@ def test_facility2d_answers_are_bit_identical(solver):
         fields = [report.status.value, str(report.iterations)] + [float(v).hex() for v in end]
         got.append(" ".join(fields))
     assert got == EXPECTED[solver]
+
+
+#: sha256 of `nepsolve solve --problem <id> --solver <solver>` (paper start):
+#: (report JSON, trajectory CSV)
+SOLVE_SHA256 = {
+    ("examp1", "descent-newton"): (
+        "ac91b2f2c33d64b8d05c016495f9ada9642b351efb5e3667ee6e14d57fe12cb8",
+        "d82bbb9d766d73fcd4306dbd6d308bd44f2584a3ab3b582211e7d83956be5ab1",
+    ),
+    ("examp1", "newton-kkt"): (
+        "cab0627552f912c32281d35d91c4fc321cf7e4a8eb2b30773f09813d9767414a",
+        "78f019b7e471ad55d3cbbca12a4b718a93901557052beba8a8834f609dbc294f",
+    ),
+    ("examp1", "exact-jacobi"): (
+        "cfed938bbdf05de3050c52726fbe5f329bf425cad5c23585b4fa506fac337e7c",
+        "e5bdd23fcf175765781d6a033f60f8d1db12b6e0cdf588be1fd7167e18e19300",
+    ),
+    ("examp2", "descent-newton"): (
+        "e5868543eaa28a3e251aa613470f60e6d1e89cea771866ed0fe23c973fb8d20f",
+        "f0df8844f733c70235ed3c54540fc50e1b668240cb10fb11db3d99a05992f669",
+    ),
+    ("examp2", "newton-kkt"): (
+        "9a1ca465ab241e28907538a89c0dbd1ec0d33eab3e99b1c49b0279706c74f8a1",
+        "bc08817c0c9d6bc19c9b78ebd7e4b5fc9f34cacc83d9aa0e7d5f7708e5cb0e97",
+    ),
+    ("examp2", "exact-jacobi"): (
+        "9f5a97acdc700f411e0a5d412750387c1caaee794af3730ce5da9017875a8d47",
+        "e9c59521d3a91e34d52031a7770853233701b1804b0adecdd935f98f09ff2137",
+    ),
+    ("examp3", "descent-newton"): (
+        "1c8cd21e35e33b21e5be891330784a1d284a4822b68a7cfa10396cde641133d5",
+        "8d25d87a86b12842b1e9f9e49b84f8a113f9f9e1c9a936748e15f69868b16126",
+    ),
+    ("examp3", "newton-kkt"): (
+        "d4872fee93d746218f3e013b4aeddeff8786a8af4ad0327ab30c4a97889709b2",
+        "d332ec3392fc7bc723d440e1983fc7ec67a0e2f1b1797bc872296a0c27f42185",
+    ),
+    ("examp3", "exact-jacobi"): (
+        "ce580d04a5ada725d67d849efef31fec5d9b44a405fe2a8c9d1f86a856985628",
+        "e553327d8267a8a071f9bd73ada089f276701dca3fd5e38df9896c304a1eb4e2",
+    ),
+    ("examp4", "descent-newton"): (
+        "2d497141431816541c6c456510d26fd1371995ec1d80d148412ca757e88bcd71",
+        "aaa361d193cda41c17dabe975d99a4a1e26111a54a2bf795241e9657fe98a71f",
+    ),
+    ("examp4", "newton-kkt"): (
+        "a18b7540b79b3f3ba728df91a5b4940d644ac8a1e7b830b93e9b53f8c3bc0fde",
+        "bbb6199c654fba448c37bb952befbf7932d03cc0e252acd3ed16d57b9e395eea",
+    ),
+    ("examp4", "exact-jacobi"): (
+        "12265f328134d290e76958b16c3dd9bb3d1c1d2274fdb521d107e937a9c3c4ac",
+        "2dffbd7ee83cf19affe28db7128a544940385ee6e4f2c424b2a8dd4ba1116d90",
+    ),
+    ("examp5", "descent-newton"): (
+        "a3f76b71df9dd40a692cc9ba048fedfbd4e2eca743217b4f3c2ead2a7a075f93",
+        "2d2bcf264e30b90bf3475edd52891d8b9637422166525626ed780546db3c10ba",
+    ),
+    ("examp5", "newton-kkt"): (
+        "8d5fa824b03ea333d1d62ba0c4d19be7892811ec6c390907e7ebc503574cabfd",
+        "9a2be62d4d7c010d8ebe7892bd658e54556c1b98e064b69d718c1170d30cf173",
+    ),
+    ("examp5", "exact-jacobi"): (
+        "a12e88d37d2c2ac59c1f5a88c366b0fabb46b444420264aea2e70e4d638923f3",
+        "5822e37150ec8ea7e0b1e10bf8ce259be7eb9f9ecb493cf3c9553685ddd0cf44",
+    ),
+    ("facility1d", "descent-newton"): (
+        "22d9f95a938a62f807d4dad327a59ef83b405afb294b51851ba373c0e8eb4e32",
+        "6e27565552bc7c428392aebf1af963323c0b157d0874b9f93f7173741d6ac90c",
+    ),
+    ("facility1d", "newton-kkt"): (
+        "bb619c4040432bd93f5a3367c669c33fe67ca0c9aa253b7f5aa36334cbe687f4",
+        "8718b514e72e1e12f57fac0fc49cee30ff1e744f16c2889e05c7e3fae4047a60",
+    ),
+    ("facility1d", "exact-jacobi"): (
+        "59431cc9157fffdd2891383dd538551e40fc75cd21b07e278e989de5d5c4d564",
+        "d50c8505e94430b535fb264d9e59f420daf027391b8b53a886c7c056e2a88d1e",
+    ),
+    ("facility2d", "descent-newton"): (
+        "5b77022c84c11ea314af078fab0215cf4ef2b6827c8ab2d227d040b43b3f540e",
+        "b4349c799184062f8d021eed01ed83e750d4a7786c2166dd3ad518f3df0d840a",
+    ),
+    ("facility2d", "newton-kkt"): (
+        "d9af612ed5675782d116baa638c324ff50b8441ca3d609a1f20186dd8ef68e02",
+        "b4b5666fa92c82a2ea0ef5ebf2df7d90b3844699fd147900ed23289945684e6b",
+    ),
+    ("facility2d", "exact-jacobi"): (
+        "83e2fe97b6b626c14acb5dbbb834a5734106b392edc3803f1bc10551e560a355",
+        "556fd845124013ff22c15d145bbbdfbf6f43aa0e61866d9314825210347c85db",
+    ),
+}
+
+#: sha256 of `nepsolve table1`'s table1.csv
+TABLE1_SHA256 = "9ff3f8f39c7c9a28747cc7709f278241befc63b8a3a588b17c150237648c7322"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("problem_id,solver", sorted(SOLVE_SHA256))
+def test_solve_files_are_byte_identical(tmp_path, problem_id, solver):
+    main(["solve", "--problem", problem_id, "--solver", solver, "--out-dir", str(tmp_path)])
+    stem = f"{problem_id}_{solver}"
+    got = (_sha256(tmp_path / f"{stem}_report.json"), _sha256(tmp_path / f"{stem}_trajectory.csv"))
+    assert got == SOLVE_SHA256[problem_id, solver]
+
+
+def test_table1_csv_is_byte_identical(tmp_path):
+    assert main(["table1", "--out-dir", str(tmp_path)]) == 0
+    assert _sha256(tmp_path / "table1.csv") == TABLE1_SHA256

@@ -10,6 +10,7 @@ from nepsolve import (
     SolveStatus,
     SolverConfig,
     check_inequalities,
+    classify_point,
     compute_direction,
     evaluate_residual,
     get_problem,
@@ -22,6 +23,7 @@ from nepsolve import (
     solve_newton_kkt,
 )
 import nepsolve.solver as solver_mod
+from nepsolve.core import EPS_PSD
 from nepsolve.linalg import CHOL_PIVOT_SAFETY, _chol_succeeds, assemble_block_system
 from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
 
@@ -573,4 +575,57 @@ def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
         # eigvalsh puts an eigenvalue below -CHOL_FLOOR: the identity, as
         # the eigvalsh rule decides, because the rounding guard sends them
         # to eigvalsh
+        assert cholesky_passed_eigvalsh_negative > 0
+
+
+def _blocks_problem(h11, h22):
+    """A game stationary everywhere whose own Hessian blocks are h11, h22."""
+    n1, n2 = h11.shape[0], h22.shape[0]
+    return NepProblem(
+        n1=n1, n2=n2,
+        f1=lambda x1, x2: 0.0, f2=lambda x1, x2: 0.0,
+        grad1=lambda x1, x2: np.zeros(n1), grad2=lambda x1, x2: np.zeros(n2),
+        hess11=lambda x1, x2: h11, hess22=lambda x1, x2: h22,
+    )
+
+
+def _classify_block(kind, n, seed):
+    if kind not in ("edge-above", "edge-below"):
+        return _seeded_block(kind, n, seed)
+    # shifted so that eigvalsh puts the smallest eigenvalue at
+    # -EPS_PSD * (1 -+ 1e-3), just above or just below the PSD tolerance
+    block = _seeded_block("positive-definite", n, seed)
+    target = -EPS_PSD * (1.0 + (-1e-3 if kind == "edge-above" else 1e-3))
+    return block + (target - np.linalg.eigvalsh(block)[0]) * np.eye(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 150])
+@pytest.mark.parametrize(
+    "kind",
+    ["positive-definite", "diagonal-negative-zeros", "null", "near-psd", "psd-singular",
+     "indefinite", "asymmetric-last-bit", "large-norm-singular", "edge-above", "edge-below"],
+)
+def test_classification_matches_eigvalsh_rule(kind, n):
+    cholesky_passed_eigvalsh_negative = 0
+    for seed in range(5):
+        h11 = _classify_block(kind, n, seed)
+        h22 = _classify_block(kind, n, seed + 5)
+        min_eigs = [float(np.linalg.eigvalsh(0.5 * (h + h.T))[0]) for h in (h11, h22)]
+        cls = classify_point(_blocks_problem(h11, h22), np.zeros(n), np.zeros(n), tol=1e-4)
+        psd = min(min_eigs) >= -EPS_PSD
+        assert cls.kind is (
+            PointKind.EQUILIBRIUM_CANDIDATE if psd else PointKind.NON_EQUILIBRIUM_STATIONARY
+        )
+        assert [cls.min_eig_1, cls.min_eig_2] == min_eigs
+        cholesky_passed_eigvalsh_negative += sum(
+            m < -EPS_PSD and _chol_succeeds(0.5 * (h + h.T), EPS_PSD * CHOL_PIVOT_SAFETY)
+            for h, m in zip((h11, h22), min_eigs)
+        )
+        if kind == "edge-above":
+            assert psd
+        elif kind in ("edge-below", "indefinite"):
+            assert not psd
+    if kind == "large-norm-singular" and n in (5, 40, 150):
+        # blocks that pass the Cholesky test while eigvalsh finds an
+        # eigenvalue below -EPS_PSD: the rounding guard sends them to eigvalsh
         assert cholesky_passed_eigvalsh_negative > 0
