@@ -25,7 +25,6 @@ from .linalg import (
 )
 from .solver import (
     Direction,
-    HessianStrategy,
     IterateRecord,
     LineSearchCertificate,
     SolveReport,

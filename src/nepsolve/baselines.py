@@ -6,8 +6,9 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import InnerSolveFailure, NonFiniteEvaluation, evaluate_residual
-from .core import classify_point  # noqa: F401  (looked up here by the benchmark's tracer)
+from .core import InnerSolveFailure, NonFiniteEvaluation
+# looked up here by the benchmark's tracer
+from .core import classify_point, evaluate_residual  # noqa: F401
 from .linalg import SingularMatrixError, assemble_block_system, lu_solve
 from .solver import _drive
 
@@ -15,16 +16,14 @@ from .solver import _drive
 INNER_TOL = 1e-10
 
 
-def newton_kkt_step(problem, x1, x2, res=None):
-    """Unit Newton step for the stacked first-order system.
+def newton_kkt_step(problem, res):
+    """Unit Newton step for the stacked first-order system at the iterate
+    whose residual is res.
 
-    Uses the true (possibly indefinite) per-player Hessian blocks; raises
-    SingularMatrixError when the full matrix fails the pivot test. The
-    residual at (x1, x2) may be passed in; its point then supplies the
-    Hessian blocks too.
+    Uses the true (possibly indefinite) per-player Hessian blocks, read from
+    the residual's point; raises SingularMatrixError when the full matrix
+    fails the pivot test.
     """
-    if res is None:
-        res = evaluate_residual(problem, x1, x2)
     point = res.point
     K = assemble_block_system(point.hess11, point.hess22, point.mixed12, point.mixed21, 1.0)
     if not np.all(np.isfinite(K)):
@@ -78,17 +77,15 @@ def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
     raise InnerSolveFailure("inner Newton did not converge")
 
 
-def exact_jacobi_step(problem, x1, x2, res=None):
-    """One simultaneous best-response-style update.
+def exact_jacobi_step(problem, x1, x2, res):
+    """One simultaneous best-response-style update from (x1, x2), whose
+    residual is res.
 
     x1_new solves grad of f1(., x2) = 0 and x2_new solves grad of
     f2(x1, .) = 0, both from the current coordinates against the opponent's
     *current* decision; the pair is then adopted jointly. Each solve stops
-    at gradient norm INNER_TOL. Both start from the residual at (x1, x2)
-    and its point, which may be passed in as res.
+    at gradient norm INNER_TOL. Both start from res and its point.
     """
-    if res is None:
-        res = evaluate_residual(problem, x1, x2)
     point = res.point
     grad1, hess11 = attrgetter("grad1"), attrgetter("hess11")
     grad2, hess22 = attrgetter("grad2"), attrgetter("hess22")
@@ -114,7 +111,7 @@ def solve_newton_kkt(problem, x0_1, x0_2, config=None):
     """
 
     def step(x1, x2, res):
-        d1, d2 = newton_kkt_step(problem, x1, x2, res)
+        d1, d2 = newton_kkt_step(problem, res)
         return _unit_step(x1, x2, x1 + d1, x2 + d2)
 
     return _drive(problem, x0_1, x0_2, config, step, "newton-kkt")

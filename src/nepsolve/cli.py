@@ -61,15 +61,6 @@ PAPER_STARTS = {
     "facility2d": (2.0, 3.0, -3.0, 2.0),
 }
 
-#: escape radius per problem, in force on every run of it: a facility 100+
-#: units from every client has walked off into the flat tail, where the
-#: gradients vanish without any equilibrium
-ESCAPE_RADII = {
-    "facility1d": 100.0,
-    "facility2d": 100.0,
-}
-
-
 class UsageError(ValueError):
     pass
 
@@ -123,7 +114,7 @@ def report_to_dict(report, problem_id, solver):
             "grad_tol": cfg.grad_tol,
             "max_iter": cfg.max_iter,
             "divergence_radius": cfg.divergence_radius,
-            "hessian_strategy": cfg.hessian_strategy.value,
+            "hessian_strategy": "modified-exact" if cfg.user_h1 is None else "user-supplied",
         },
         "iterations": report.iterations,
         "final_x1": list(report.final_x1),
@@ -209,15 +200,9 @@ def _print_and_write(rows, out_dir, filename, comment):
     return EXIT_OK
 
 
-def _base_config(problem_id, **fields):
-    """SolverConfig with the problem's escape radius, if it has one."""
-    radius = ESCAPE_RADII.get(problem_id, SolverConfig.divergence_radius)
-    return SolverConfig(divergence_radius=radius, **fields)
-
-
 def _run(args):
     """Run --solver on --problem from --x0 with the config flags."""
-    config = _config_from_args(args, base=_base_config(args.problem))
+    config = _config_from_args(args, base=SolverConfig())
     problem = get_problem(args.problem)
     x1, x2 = resolve_x0(problem, args.problem, args.x0)
     return problem, run_solver(problem, args.solver, x1, x2, config)
@@ -281,7 +266,7 @@ def cmd_facility_bench(args):
     if args.runs < 0 or args.seed < 0:
         raise UsageError(f"--runs and --seed must be >= 0, got {args.runs} and {args.seed}")
     # the published study's tolerance
-    config = _config_from_args(args, base=_base_config("facility2d", grad_tol=1e-6))
+    config = _config_from_args(args, base=SolverConfig(grad_tol=1e-6))
 
     problem = get_problem("facility2d")
     rng = np.random.default_rng(args.seed)

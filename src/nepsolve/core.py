@@ -140,17 +140,22 @@ class NepProblem:
     for the n2 x n1 mixed block of f2 (the one multiplying d1 in the second
     row of the full Newton system). A missing oracle falls back to its
     central difference, `finite_difference`: of f1/f2 for a gradient, of
-    the gradient accessor for a Hessian block (symmetrized for hess11/hess22).
+    the point's gradient for a Hessian block (symmetrized for hess11/hess22).
 
     point is the optional fused oracle: point(x1, x2) returns an object
     whose attributes value1, value2 (floats), grad1, grad2 (vectors),
     hess11, hess22, mixed12 and mixed21 (n1 x n2 and n2 x n1 blocks) are
     everything the solvers read at (x1, x2), so that work shared between
     them (the facility game's client distances) is done once per point.
-    When it is given, the solvers and the accessors read it instead of the
-    per-oracle callables, which must agree with it. Without it, a point
-    reads the per-oracle callables (or their central differences), one
-    quantity at a time.
+    When it is given, every read of the problem goes through it, and the
+    per-oracle derivative callables may be omitted (f1 and f2 stay, for the
+    central differences that validate it). Without it, a point reads the
+    per-oracle callables (or their central differences), one quantity at a
+    time.
+
+    escape_radius bounds the region where the problem's answers mean
+    anything: every solver run stops as diverged once an iterate leaves the
+    box of that radius, or the config's divergence_radius if it is smaller.
     """
 
     n1: int
@@ -165,10 +170,14 @@ class NepProblem:
     hess21_f2: Optional[Callable] = None
     name: str = field(default="")
     point: Optional[Callable] = None
+    escape_radius: float = float("inf")
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("player dimensions must be >= 1")
+        # negated so that NaN fails it too
+        if not self.escape_radius > 0:
+            raise ValueError("escape_radius must be positive")
 
     def _checked(self, x1, x2):
         return _as_vector(x1, self.n1, "x1"), _as_vector(x2, self.n2, "x2")
@@ -191,48 +200,20 @@ class NepProblem:
         """Central difference that stands in for the named optional oracle.
 
         grad1/grad2 difference f1/f2; the Hessian blocks difference the
-        gradient accessors. The result is not symmetrized.
+        point's gradients. The result is not symmetrized.
         """
         x1, x2 = self._checked(x1, x2)
         # oracle -> (function differenced, block it is differenced in)
         g, x = {
             "grad1": (lambda z: self.f1(z, x2), x1),
             "grad2": (lambda z: self.f2(x1, z), x2),
-            "hess11": (lambda z: self.gradient1(z, x2), x1),
-            "hess22": (lambda z: self.gradient2(x1, z), x2),
-            "hess12_f1": (lambda z: self.gradient1(x1, z), x2),
-            "hess21_f2": (lambda z: self.gradient2(z, x2), x1),
+            "hess11": (lambda z: self._at(z, x2).grad1, x1),
+            "hess22": (lambda z: self._at(x1, z).grad2, x2),
+            "hess12_f1": (lambda z: self._at(x1, z).grad1, x2),
+            "hess21_f2": (lambda z: self._at(z, x2).grad2, x1),
         }[oracle]
         jac = finite_diff_jacobian(g, x)
         return jac[0] if oracle in ("grad1", "grad2") else jac
-
-    # -- single quantities, each from its own point --------------------------
-
-    def value1(self, x1, x2):
-        return self.at(x1, x2).value1
-
-    def value2(self, x1, x2):
-        return self.at(x1, x2).value2
-
-    def gradient1(self, x1, x2):
-        return self.at(x1, x2).grad1
-
-    def gradient2(self, x1, x2):
-        return self.at(x1, x2).grad2
-
-    def hessian11(self, x1, x2):
-        return self.at(x1, x2).hess11
-
-    def hessian22(self, x1, x2):
-        return self.at(x1, x2).hess22
-
-    def mixed12_f1(self, x1, x2):
-        """n1 x n2 mixed block of f1 (derivative of grad1 w.r.t. x2)."""
-        return self.at(x1, x2).mixed12
-
-    def mixed21_f2(self, x1, x2):
-        """n2 x n1 mixed block of f2 (derivative of grad2 w.r.t. x1)."""
-        return self.at(x1, x2).mixed21
 
 
 @dataclass(frozen=True)
@@ -246,17 +227,14 @@ class Residual:
     point: object = field(repr=False, compare=False)
 
 
-def evaluate_residual(problem, x1, x2, point=None):
-    """First-order optimality residual at (x1, x2).
+def evaluate_residual(problem, point):
+    """First-order optimality residual at a point of the problem.
 
-    point is the problem's evaluation at (x1, x2) when the caller already
-    has one (the run loop, whose iterates need no validation); otherwise
-    the arguments are checked and the point is made here. Raises
-    NonFiniteEvaluation when either gradient is NaN/Inf, which callers
-    interpret as divergence.
+    point is the problem's evaluation at the iterate, problem.at(x1, x2)
+    (the run loop, whose iterates need no validation, passes the unchecked
+    one). Raises NonFiniteEvaluation when either gradient is NaN/Inf, which
+    callers interpret as divergence.
     """
-    if point is None:
-        point = problem.at(x1, x2)
     g1 = point.grad1
     g2 = point.grad2
     if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
@@ -312,22 +290,20 @@ class PointClass:
         )
 
 
-def classify_point(problem, x1, x2, tol, res=None):
-    """Classify (x1, x2) as equilibrium candidate / stationary / neither.
+def classify_point(res, tol):
+    """Classify the point of residual res as equilibrium candidate /
+    stationary / neither.
 
     A point is an equilibrium candidate when the residual norm is within tol
     and both per-player Hessian blocks are positive semidefinite up to
     EPS_PSD (second-order necessary conditions): eigvalsh puts neither
     block's smallest eigenvalue below -EPS_PSD. One Cholesky settles most
     blocks (see linalg.cholesky_settles); eigvalsh decides the rest. The
-    residual at (x1, x2) may be passed in; its point then supplies the
-    Hessian blocks too.
+    Hessian blocks are read from the residual's point.
     """
     # negated so that NaN fails it too
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    if res is None:
-        res = evaluate_residual(problem, x1, x2)
     blocks = tuple(
         np.atleast_2d(np.asarray(h, dtype=float)) for h in (res.point.hess11, res.point.hess22)
     )

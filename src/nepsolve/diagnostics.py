@@ -107,16 +107,16 @@ def estimate_assumptions(problem, box, samples, seed):
         dist1 = np.linalg.norm(a1 - x1)
         if dist1 > 1e-12:
             lipschitz = max(
-                lipschitz, np.linalg.norm(problem.gradient1(a1, x2) - g1) / dist1
+                lipschitz, np.linalg.norm(problem.at(a1, x2).grad1 - g1) / dist1
             )
         dist2 = np.linalg.norm(a2 - x2)
         if dist2 > 1e-12:
             lipschitz = max(
-                lipschitz, np.linalg.norm(problem.gradient2(x1, a2) - g2) / dist2
+                lipschitz, np.linalg.norm(problem.at(x1, a2).grad2 - g2) / dist2
             )
 
-        r1 = problem.gradient1(x1, x2 + t * d2) - g1 - t * (m1 @ d2)
-        r2 = problem.gradient2(x1 + t * d1, x2) - g2 - t * (m2 @ d1)
+        r1 = problem.at(x1, x2 + t * d2).grad1 - g1 - t * (m1 @ d2)
+        r2 = problem.at(x1 + t * d1, x2).grad2 - g2 - t * (m2 @ d1)
         sq1 = t * t * float(d2 @ d2)
         sq2 = t * t * float(d1 @ d1)
         if sq1 > 0:
@@ -181,13 +181,15 @@ class LemmaCheckReport:
         return "\n".join(lines)
 
 
-def _segment_mixed_norm(problem, x1, x2, t, d1, d2):
+def _segment_mixed_norm(problem, x1, x2, t, d1, d2, pred1, pred2):
     # mixed-block norms sampled along the step segment; the ratio-bound
-    # certificate needs a bound valid between the iterate and the trial point
-    best = 0.0
-    for xi in (0.0, 0.25, 0.5, 0.75, 1.0):
-        m1 = problem.mixed12_f1(x1, x2 + xi * t * d2)
-        m2 = problem.mixed21_f2(x1 + xi * t * d1, x2)
+    # certificate needs a bound valid between the iterate and the trial
+    # point. The ends are the iterate, whose norms the caller has, and the
+    # predicted points pred1 = (x1, x2 + t d2) and pred2 = (x1 + t d1, x2).
+    best = max(np.linalg.norm(pred1.mixed12, 2), np.linalg.norm(pred2.mixed21, 2))
+    for xi in (0.25, 0.5, 0.75):
+        m1 = problem.at(x1, x2 + xi * t * d2).mixed12
+        m2 = problem.at(x1 + xi * t * d1, x2).mixed21
         best = max(best, np.linalg.norm(m1, 2), np.linalg.norm(m2, 2))
     return best
 
@@ -222,7 +224,7 @@ def verify_lemma_bounds(run, est):
 
     for rec in run.trajectory:
         point = problem.at(rec.x1, rec.x2)
-        H1, H2 = build_surrogates(problem, rec.x1, rec.x2, config, point)
+        H1, H2 = build_surrogates(point, config)
         lo1, hi1 = spectral_bounds_sym(H1.matrix)
         lo2, hi2 = spectral_bounds_sym(H2.matrix)
         lam_lo = min(lo1, lo2)
@@ -313,9 +315,14 @@ def verify_lemma_bounds(run, est):
         skipped["gradient-comparability"] += int(not any_checked)
 
         # two-sided direction/gradient ratio at the predicted points
-        c_h_seg = max(c_h_point, _segment_mixed_norm(problem, rec.x1, rec.x2, t, rec.d1, rec.d2))
-        p1 = problem.gradient1(rec.x1, rec.x2 + t * rec.d2)
-        p2 = problem.gradient2(rec.x1 + t * rec.d1, rec.x2)
+        pred1 = problem.at(rec.x1, rec.x2 + t * rec.d2)
+        pred2 = problem.at(rec.x1 + t * rec.d1, rec.x2)
+        c_h_seg = max(
+            c_h_point,
+            _segment_mixed_norm(problem, rec.x1, rec.x2, t, rec.d1, rec.d2, pred1, pred2),
+        )
+        p1 = pred1.grad1
+        p2 = pred2.grad2
         any_checked = False
         for label, g_i, p_i, d_i in (
             ("player1", rec.g1, p1, rec.d1),
@@ -411,14 +418,14 @@ def partial_direction_sums(run):
 # ---------------------------------------------------------------------------
 
 
-#: report key -> (accessor of NepProblem, oracle whose central difference it is checked against)
+#: point attribute (and report key) -> oracle whose central difference it is checked against
 _DERIVATIVES = {
-    "grad1": ("gradient1", "grad1"),
-    "grad2": ("gradient2", "grad2"),
-    "hess11": ("hessian11", "hess11"),
-    "hess22": ("hessian22", "hess22"),
-    "mixed12": ("mixed12_f1", "hess12_f1"),
-    "mixed21": ("mixed21_f2", "hess21_f2"),
+    "grad1": "grad1",
+    "grad2": "grad2",
+    "hess11": "hess11",
+    "hess22": "hess22",
+    "mixed12": "hess12_f1",
+    "mixed21": "hess21_f2",
 }
 
 
@@ -426,7 +433,7 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
     """Cross-check analytic derivatives against central finite differences.
 
     Samples points in the box, skipping those for which exclude(x1, x2) is
-    true (e.g. near singularities). Each derivative accessor is compared
+    true (e.g. near singularities). Each derivative of the point is compared
     with `problem.finite_difference` of its oracle: the gradients with
     central differences of f1/f2, the four Hessian blocks with central
     differences of the gradients. Returns the max relative errors, measured
@@ -446,9 +453,10 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
         if exclude is not None and exclude(x1, x2):
             continue
         kept += 1
+        point = problem.at(x1, x2)
         values = {}
-        for key, (accessor, oracle) in _DERIVATIVES.items():
-            analytic = values[key] = getattr(problem, accessor)(x1, x2)
+        for key, oracle in _DERIVATIVES.items():
+            analytic = values[key] = getattr(point, key)
             fd = problem.finite_difference(oracle, x1, x2)
             err = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
             errs[key] = max(errs[key], float(err))

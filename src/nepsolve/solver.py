@@ -51,11 +51,6 @@ EPS_STATIONARY = 1e-12
 CHOL_FLOOR = 1e-8
 
 
-class HessianStrategy(Enum):
-    MODIFIED_EXACT = "modified-exact"
-    USER_SUPPLIED = "user-supplied"
-
-
 class SolveStatus(Enum):
     CONVERGED = "converged"
     DIVERGED = "diverged"
@@ -73,6 +68,13 @@ class SolverConfig:
     stationary player's mixed block is zeroed only once t <= tau. The
     safeguards no caller tunes are constants: T_MIN, EPS_STATIONARY and
     CHOL_FLOOR here, core.EPS_PSD for the final classification.
+
+    user_h1 and user_h2, given together, made positive definite by
+    modified_cholesky, are every iteration's Hessian surrogates; without
+    them the surrogates are built from the exact Hessian blocks at each
+    iterate. A run stops as diverged beyond divergence_radius, or beyond
+    the problem's escape_radius if that is smaller; the report's config
+    holds the radius in force.
     """
 
     alpha: float = 1e-6
@@ -82,7 +84,6 @@ class SolverConfig:
     grad_tol: float = 1e-4
     max_iter: int = 1000
     divergence_radius: float = 1e8
-    hessian_strategy: HessianStrategy = HessianStrategy.MODIFIED_EXACT
     user_h1: Optional[np.ndarray] = None
     user_h2: Optional[np.ndarray] = None
 
@@ -97,10 +98,8 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.hessian_strategy is HessianStrategy.USER_SUPPLIED and (
-            self.user_h1 is None or self.user_h2 is None
-        ):
-            raise ValueError("user-supplied strategy needs user_h1 and user_h2")
+        if (self.user_h1 is None) != (self.user_h2 is None):
+            raise ValueError("user_h1 and user_h2 must be given together")
         for name in ("user_h1", "user_h2"):
             h = getattr(self, name)
             if h is None:
@@ -185,18 +184,15 @@ def _exact_surrogate(block):
     return modified_cholesky(block, CHOL_FLOOR)
 
 
-def build_surrogates(problem, x1, x2, config, point=None):
-    """Positive definite per-player Hessian surrogates for one iteration.
-
-    point is the problem's evaluation at (x1, x2), when the caller has it.
-    """
-    if config.hessian_strategy is HessianStrategy.USER_SUPPLIED:
+def build_surrogates(point, config):
+    """Positive definite per-player Hessian surrogates for one iteration,
+    from the config's user_h1/user_h2 when given and otherwise from the
+    Hessian blocks of point, the problem's evaluation at the iterate."""
+    if config.user_h1 is not None:
         return (
             modified_cholesky(config.user_h1, CHOL_FLOOR),
             modified_cholesky(config.user_h2, CHOL_FLOOR),
         )
-    if point is None:
-        point = problem.at(x1, x2)
     h11 = point.hess11
     h22 = point.hess22
     if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
@@ -204,47 +200,34 @@ def build_surrogates(problem, x1, x2, config, point=None):
     return _exact_surrogate(h11), _exact_surrogate(h22)
 
 
-def _gradient_norms(g1, g2):
-    return float(np.linalg.norm(g1)), float(np.linalg.norm(g2))
-
-
-def compute_direction(
-    problem, x1, x2, g1, g2, H1, H2, t, config,
-    mixed1=None, mixed2=None, g_norms=None, rhs=None,
-):
+def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
     """Solve the safeguarded block system for the tentative step length t.
 
-    Raises SingularMatrixError when the assembled matrix fails the pivot
-    test; the iteration then halves t and retries. What depends on the
-    iterate only, not on t, may be passed in to avoid recomputing it on
-    retries: the mixed blocks, the gradient norms (||g1||, ||g2||) and the
-    right-hand side -[g1; g2].
+    mixed1/mixed2 are the iterate's mixed blocks, g_norms the gradient
+    norms (||g1||, ||g2||) and rhs the right-hand side -[g1; g2]: what
+    depends on the iterate only, computed once for all trials. Raises
+    SingularMatrixError when the assembled matrix fails the pivot test; the
+    iteration then halves t and retries.
     """
-    if mixed1 is None:
-        mixed1 = problem.mixed12_f1(x1, x2)
-    if mixed2 is None:
-        mixed2 = problem.mixed21_f2(x1, x2)
-    g1n, g2n = g_norms or _gradient_norms(g1, g2)
-    M1, M2 = safeguard_mixed_blocks(g1n, g2n, t, config, mixed1, mixed2)
+    M1, M2 = safeguard_mixed_blocks(*g_norms, t, config, mixed1, mixed2)
     system = assemble_block_system(H1, H2, M1, M2, t)
-    if rhs is None:
-        rhs = -np.concatenate([g1, g2])
     d = lu_solve(system, rhs)
-    return Direction(d1=d[: problem.n1], d2=d[problem.n1 :])
+    n1 = H1.matrix.shape[0]
+    return Direction(d1=d[:n1], d2=d[n1:])
 
 
-def check_inequalities(problem, x1, x2, g1, g2, direction, t, config, g_norms=None):
+def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     """Evaluate the six acceptance inequalities for a trial step.
 
     Player 1 is judged against f1 parameterized at the predicted opponent
     decision x2 + t*d2, player 2 against f2 at x1 + t*d1: an Armijo
     decrease, an angle condition keeping the direction away from orthogonal
     to the predicted gradient, and a lower bound on the direction size
-    relative to that gradient (vacuous for a stationary player).
+    relative to that gradient (vacuous for a stationary player). g_norms is
+    the pair (||g1||, ||g2||) at the iterate.
 
     The problem is evaluated at three points, (x1, y2), (y1, x2) and the
-    trial point (y1, y2), with y = x + t*d. g_norms, the pair (||g1||,
-    ||g2||), may be passed in when the caller has it.
+    trial point (y1, y2), with y = x + t*d.
 
     Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
     treats that as a rejected trial and notes possible divergence.
@@ -270,7 +253,7 @@ def check_inequalities(problem, x1, x2, g1, g2, direction, t, config, g_norms=No
     d2n = float(np.linalg.norm(d2))
     p1n = float(np.linalg.norm(p1))
     p2n = float(np.linalg.norm(p2))
-    g1n, g2n = g_norms or _gradient_norms(g1, g2)
+    g1n, g2n = g_norms
     slope1 = float(p1 @ d1)
     slope2 = float(p2 @ d2)
 
@@ -297,12 +280,12 @@ def _descent_step(problem, config, x1, x2, res):
     Returns the accepted step in the form `_drive` takes, or DIVERGED /
     LINE_SEARCH_FAILURE when no trial was accepted.
     """
-    H1, H2 = build_surrogates(problem, x1, x2, config, res.point)
+    H1, H2 = build_surrogates(res.point, config)
     mixed1 = res.point.mixed12
     mixed2 = res.point.mixed21
     if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
         raise NonFiniteEvaluation("mixed Hessian block is non-finite")
-    g_norms = _gradient_norms(res.g1, res.g2)
+    g_norms = (float(np.linalg.norm(res.g1)), float(np.linalg.norm(res.g2)))
     rhs = -np.concatenate([res.g1, res.g2])
 
     t = 1.0
@@ -311,17 +294,12 @@ def _descent_step(problem, config, x1, x2, res):
     nonfinite_seen = False
     while True:
         try:
-            direction = compute_direction(
-                problem, x1, x2, res.g1, res.g2, H1, H2, t, config,
-                mixed1=mixed1, mixed2=mixed2, g_norms=g_norms, rhs=rhs,
-            )
+            direction = compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config)
         except SingularMatrixError:
             singular_halvings += 1
         else:
             try:
-                cert = check_inequalities(
-                    problem, x1, x2, res.g1, res.g2, direction, t, config, g_norms=g_norms
-                )
+                cert = check_inequalities(problem, x1, x2, g_norms, direction, t, config)
                 if cert.accepted:
                     cert = replace(cert, backtracks=backtracks, singular_halvings=singular_halvings)
                     d1, d2 = direction.d1, direction.d2
@@ -337,7 +315,8 @@ def _descent_step(problem, config, x1, x2, res):
 def _drive(problem, x0_1, x0_2, config, step, solver):
     """The outer loop of every solver, from (x0_1, x0_2) to a terminal status.
 
-    Per iteration: stop as diverged beyond the divergence radius, evaluate
+    Per iteration: stop as diverged beyond the divergence radius (the
+    smaller of the config's and the problem's escape radius), evaluate
     the problem at the iterate and read the residual from it, stop on
     convergence (classifying the point from the same evaluation) or the
     iteration cap, then call step(x1, x2, res); res.point serves the step
@@ -351,6 +330,8 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     solve or overflowing Hessian shift UNDEFINED_STEP.
     """
     config = config or SolverConfig()
+    if problem.escape_radius < config.divergence_radius:
+        config = replace(config, divergence_radius=problem.escape_radius)
     x1 = np.atleast_1d(np.asarray(x0_1, dtype=float)).copy()
     x2 = np.atleast_1d(np.asarray(x0_2, dtype=float)).copy()
     if x1.shape != (problem.n1,) or x2.shape != (problem.n2,):
@@ -367,10 +348,10 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
                 status = SolveStatus.DIVERGED
                 break
-            res = evaluate_residual(problem, x1, x2, problem._at(x1, x2))
+            res = evaluate_residual(problem, problem._at(x1, x2))
             if res.norm <= config.grad_tol:
                 status = SolveStatus.CONVERGED
-                classification = classify_point(problem, x1, x2, config.grad_tol, res=res)
+                classification = classify_point(res, config.grad_tol)
                 break
             if len(trajectory) >= config.max_iter:
                 status = SolveStatus.MAX_ITERATIONS

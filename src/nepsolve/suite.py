@@ -242,10 +242,12 @@ def make_facility(instance):
     """Competitive facility location game for a client/profit instance.
 
     Objectives, gradients and all four second-derivative blocks are
-    analytic. They are undefined (non-finite) when both facilities sit
-    exactly on one client. The fused `point` oracle computes the client
-    distances once per point; the eight per-oracle callables are read off
-    it, so the formulas exist once.
+    analytic, and the fused `point` oracle gives them all, computing the
+    client distances once per point; f1 and f2 are read off it. The game
+    is undefined (non-finite) when both facilities sit exactly on one client.
+    A facility 100 or more units from every client has walked off into the
+    flat tail, where the gradients vanish without any equilibrium: the
+    escape radius is 100.
     """
     point = partial(_FacilityPoint, instance)
     return NepProblem(
@@ -253,14 +255,9 @@ def make_facility(instance):
         n2=instance.dim,
         f1=lambda x1, x2: point(x1, x2).value1,
         f2=lambda x1, x2: point(x1, x2).value2,
-        grad1=lambda x1, x2: point(x1, x2).grad1,
-        grad2=lambda x1, x2: point(x1, x2).grad2,
-        hess11=lambda x1, x2: point(x1, x2).hess11,
-        hess22=lambda x1, x2: point(x1, x2).hess22,
-        hess12_f1=lambda x1, x2: point(x1, x2).mixed12,
-        hess21_f2=lambda x1, x2: point(x1, x2).mixed21,
         name=f"facility{instance.dim}d",
         point=point,
+        escape_radius=100.0,
     )
 
 

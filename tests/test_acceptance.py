@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 from nepsolve import (
-    HessianStrategy,
     PointKind,
     SolveStatus,
     SolverConfig,
@@ -28,12 +27,13 @@ from nepsolve import (
     validate_derivatives,
     verify_lemma_bounds,
 )
-from nepsolve.cli import ESCAPE_RADII
 
 PAPER_CONFIG = SolverConfig(
     alpha=1e-6, theta=0.01, gamma=1e-6, tau=0.99, grad_tol=1e-4, max_iter=1000
 )
-BENCH_CONFIG = SolverConfig(grad_tol=1e-6, divergence_radius=ESCAPE_RADII["facility2d"])
+BENCH_CONFIG = SolverConfig(
+    grad_tol=1e-6, divergence_radius=get_problem("facility2d").escape_radius
+)
 
 
 @contextmanager
@@ -58,12 +58,7 @@ def _quadratic_cases():
         n1 = int(rng.integers(1, 6))
         n2 = int(rng.integers(1, 6))
         q = random_quadratic_nep(n1, n2, seed=seed)
-        cfg = SolverConfig(
-            alpha=1e-6,
-            hessian_strategy=HessianStrategy.USER_SUPPLIED,
-            user_h1=q.A1,
-            user_h2=q.A2,
-        )
+        cfg = SolverConfig(alpha=1e-6, user_h1=q.A1, user_h2=q.A2)
         x0 = rng.uniform(-5.0, 5.0, size=n1 + n2)
         cases.append((q, cfg, x0))
     return cases
@@ -179,8 +174,11 @@ def _recheck_six(problem, rec, cfg):
     t = rec.t
     y1 = rec.x1 + t * rec.d1
     y2 = rec.x2 + t * rec.d2
-    p1 = problem.gradient1(rec.x1, y2)
-    p2 = problem.gradient2(y1, rec.x2)
+    pred1 = problem.at(rec.x1, y2)
+    pred2 = problem.at(y1, rec.x2)
+    trial = problem.at(y1, y2)
+    p1 = pred1.grad1
+    p2 = pred2.grad2
     d1n = np.linalg.norm(rec.d1)
     d2n = np.linalg.norm(rec.d2)
     p1n = np.linalg.norm(p1)
@@ -188,10 +186,10 @@ def _recheck_six(problem, rec, cfg):
     g1n = np.linalg.norm(rec.g1)
     g2n = np.linalg.norm(rec.g2)
     return (
-        problem.value1(y1, y2) <= problem.value1(rec.x1, y2) + cfg.alpha * t * float(p1 @ rec.d1),
+        trial.value1 <= pred1.value1 + cfg.alpha * t * float(p1 @ rec.d1),
         float(p1 @ rec.d1) <= -cfg.theta * p1n * d1n,
         cfg.gamma * p1n * g1n <= d1n * g1n,
-        problem.value2(y1, y2) <= problem.value2(y1, rec.x2) + cfg.alpha * t * float(p2 @ rec.d2),
+        trial.value2 <= pred2.value2 + cfg.alpha * t * float(p2 @ rec.d2),
         float(p2 @ rec.d2) <= -cfg.theta * p2n * d2n,
         cfg.gamma * p2n * g2n <= d2n * g2n,
     )

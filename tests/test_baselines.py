@@ -18,9 +18,19 @@ from nepsolve import (
 )
 
 
+def residual_at(problem, x1, x2):
+    return evaluate_residual(problem, problem.at(x1, x2))
+
+
+def jacobi_step_at(problem, x1, x2):
+    x1, x2 = np.array(x1, dtype=float), np.array(x2, dtype=float)
+    return exact_jacobi_step(problem, x1, x2, residual_at(problem, x1, x2))
+
+
 def test_newton_step_example3_hits_stationary_point():
     # hand solve of [[2, 1], [-1, -3]] d = (14, -1): d = (8.2, -2.4)
-    d1, d2 = newton_kkt_step(make_example(3), [-5.0], [1.0])
+    problem = make_example(3)
+    d1, d2 = newton_kkt_step(problem, residual_at(problem, [-5.0], [1.0]))
     assert -5.0 + d1[0] == pytest.approx(3.2, abs=1e-12)
     assert 1.0 + d2[0] == pytest.approx(-1.4, abs=1e-12)
 
@@ -49,7 +59,8 @@ def test_newton_solve_example5_diagonal_dynamics():
 
 
 def test_newton_step_zero_gradient():
-    d1, d2 = newton_kkt_step(make_example(1), [2.0], [1.0])
+    problem = make_example(1)
+    d1, d2 = newton_kkt_step(problem, residual_at(problem, [2.0], [1.0]))
     assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
 
@@ -67,7 +78,7 @@ def test_newton_step_singular_system():
         hess21_f2=lambda x1, x2: np.array([[1.0]]),
     )
     with pytest.raises(SingularMatrixError):
-        newton_kkt_step(problem, [1.0], [0.0])
+        newton_kkt_step(problem, residual_at(problem, [1.0], [0.0]))
 
 
 def test_newton_one_step_on_random_quadratics():
@@ -84,7 +95,7 @@ def test_newton_one_step_on_random_quadratics():
 def test_jacobi_step_example1():
     # simultaneous per-player solves: x1 from 2x1 + 1 - 5 = 0, x2 from
     # 3x2 - (-5) - 1 = 0
-    x1_new, x2_new = exact_jacobi_step(make_example(1), [-5.0], [1.0])
+    x1_new, x2_new = jacobi_step_at(make_example(1), [-5.0], [1.0])
     assert x1_new == pytest.approx([2.0], abs=1e-9)
     assert x2_new == pytest.approx([-4.0 / 3.0], abs=1e-9)
 
@@ -104,7 +115,7 @@ def test_jacobi_solve_example2_diverges():
     assert report.status is SolveStatus.DIVERGED
     problem = make_example(2)
     norms = [
-        evaluate_residual(problem, rec.x1, rec.x2).norm for rec in report.trajectory
+        residual_at(problem, rec.x1, rec.x2).norm for rec in report.trajectory
     ]
     tail = norms[2:]
     assert all(b >= a for a, b in zip(tail, tail[1:]))
@@ -112,7 +123,7 @@ def test_jacobi_solve_example2_diverges():
 
 def test_jacobi_example4_undefined():
     with pytest.raises(InnerSolveFailure):
-        exact_jacobi_step(make_example(4), [-5.0], [1.0])
+        jacobi_step_at(make_example(4), [-5.0], [1.0])
     report = solve_exact_jacobi(make_example(4), [-5.0], [1.0])
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
@@ -143,6 +154,6 @@ def test_jacobi_quadratic_single_inner_newton_is_exact():
     q = random_quadratic_nep(2, 2, seed=3)
     problem = q.to_problem()
     x1, x2 = np.array([0.7, -0.2]), np.array([1.1, 0.4])
-    x1_new, x2_new = exact_jacobi_step(problem, x1, x2)
-    assert np.linalg.norm(problem.gradient1(x1_new, x2)) <= 1e-10
-    assert np.linalg.norm(problem.gradient2(x1, x2_new)) <= 1e-10
+    x1_new, x2_new = jacobi_step_at(problem, x1, x2)
+    assert np.linalg.norm(problem.at(x1_new, x2).grad1) <= 1e-10
+    assert np.linalg.norm(problem.at(x1, x2_new).grad2) <= 1e-10

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import pathlib
 import types
 
 import numpy as np
@@ -133,6 +134,32 @@ def test_solve_looks_up_patched_globals(tmp_path, monkeypatch):
     run_cli(["solve", "--problem", "examp1", "--solver", "exact-jacobi"], tmp_path)
     assert set(seen) == set(TRACED_GLOBALS)
     assert seen[:2] == ["get_problem", "solve"]
+
+
+def test_bench_tracer_hooks_count_and_restore(monkeypatch):
+    # bench/tracing.py's Tracer swaps counting wrappers into the module
+    # globals of nepsolve.core, .solver and .baselines; each name must still
+    # exist where it looks and be called through it, and leaving the block
+    # must restore every original
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    from nepsolve import get_problem, solve, solve_exact_jacobi, solve_newton_kkt
+
+    patched = [(mod, name) for mod, name, _ in tracing._LAYER_PATCHES]
+    patched.append((tracing.solver_mod, "build_surrogates"))
+    originals = [getattr(mod, name) for mod, name in patched]
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert all(getattr(mod, name) is not fn for (mod, name), fn in zip(patched, originals))
+        for problem_id in ("examp1", "quadratic:0:5x5"):
+            problem = get_problem(problem_id)
+            x1, x2 = np.full(problem.n1, -1.0), np.full(problem.n2, 1.0)
+            for run in (solve, solve_newton_kkt, solve_exact_jacobi):
+                assert run(problem, x1, x2).status.value == "converged"
+    for key in ("solver.direction", "linalg.chol", "core.classify",
+                "baselines.kkt_step", "baselines.jacobi_step"):
+        assert tracer.calls[key] > 0, key
+    assert all(getattr(mod, name) is fn for (mod, name), fn in zip(patched, originals))
 
 
 def test_usage_error_exit_code():

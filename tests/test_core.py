@@ -20,21 +20,25 @@ from nepsolve import (
 )
 
 
+def residual_at(problem, x1, x2):
+    return evaluate_residual(problem, problem.at(x1, x2))
+
+
 def test_residual_example1_start():
     # hand differentiation: g1 = 2x1 + x2 - 5 = -14, g2 = 3x2 - x1 - 1 = 7
-    res = evaluate_residual(make_example(1), [-5.0], [1.0])
+    res = residual_at(make_example(1), [-5.0], [1.0])
     assert res.g1 == pytest.approx([-14.0], abs=0)
     assert res.g2 == pytest.approx([7.0], abs=0)
     assert res.norm == pytest.approx(np.sqrt(245.0), rel=1e-15)
 
 
 def test_residual_example1_solution():
-    res = evaluate_residual(make_example(1), [2.0], [1.0])
+    res = residual_at(make_example(1), [2.0], [1.0])
     assert res.norm == 0.0
 
 
 def test_residual_example5_stationary_point():
-    res = evaluate_residual(make_example(5), [-1.0], [-1.0])
+    res = residual_at(make_example(5), [-1.0], [-1.0])
     assert res.g1 == pytest.approx([0.0], abs=0)
     assert res.g2 == pytest.approx([0.0], abs=0)
 
@@ -44,21 +48,21 @@ def test_residual_norm_matches_stacked_vector():
     rng = np.random.default_rng(7)
     for _ in range(20):
         x1, x2 = rng.uniform(-5, 5, size=(2, 1))
-        res = evaluate_residual(problem, x1, x2)
+        res = residual_at(problem, x1, x2)
         assert res.norm == np.linalg.norm(np.concatenate([res.g1, res.g2]))
 
 
 def test_residual_is_pure():
     problem = make_example(5)
-    a = evaluate_residual(problem, [0.3], [-0.7])
-    b = evaluate_residual(problem, [0.3], [-0.7])
+    a = residual_at(problem, [0.3], [-0.7])
+    b = residual_at(problem, [0.3], [-0.7])
     assert np.array_equal(a.g1, b.g1) and np.array_equal(a.g2, b.g2)
     assert a.norm == b.norm
 
 
 def test_residual_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        evaluate_residual(make_example(1), [1.0, 2.0], [1.0])
+        residual_at(make_example(1), [1.0, 2.0], [1.0])
 
 
 def test_residual_flags_non_finite_oracle():
@@ -71,7 +75,7 @@ def test_residual_flags_non_finite_oracle():
         grad2=lambda x1, x2: np.array([0.0]),
     )
     with pytest.raises(NonFiniteEvaluation):
-        evaluate_residual(bad, [0.0], [0.0])
+        residual_at(bad, [0.0], [0.0])
 
 
 def test_problem_rejects_bad_dimensions():
@@ -96,21 +100,21 @@ def test_fd_gradient_facility_1d_matches_analytic():
     problem = get_problem("facility1d")
     x2 = np.array([0.915])
     fd = finite_diff_jacobian(lambda z: problem.f1(z, x2), np.array([2.0]))[0]
-    analytic = problem.gradient1(np.array([2.0]), x2)
+    analytic = problem.at(np.array([2.0]), x2).grad1
     assert fd == pytest.approx(analytic, rel=1e-5)
 
 
 def test_fd_hessian_example1_own_block():
     problem = make_example(1)
     x2 = np.array([1.0])
-    block = finite_diff_jacobian(lambda z: problem.gradient1(z, x2), np.array([-5.0]))
+    block = finite_diff_jacobian(lambda z: problem.at(z, x2).grad1, np.array([-5.0]))
     assert block == pytest.approx(np.array([[2.0]]), abs=1e-6)
 
 
 def test_fd_hessian_example4_null_blocks():
     problem = make_example(4)
     x2 = np.array([1.0])
-    block = finite_diff_jacobian(lambda z: problem.gradient1(z, x2), np.array([-5.0]))
+    block = finite_diff_jacobian(lambda z: problem.at(z, x2).grad1, np.array([-5.0]))
     assert block == pytest.approx(np.array([[0.0]]), abs=1e-9)
 
 
@@ -118,8 +122,8 @@ def test_fd_hessian_example1_mixed_blocks():
     problem = make_example(1)
     x1 = np.array([-5.0])
     x2 = np.array([1.0])
-    m1 = finite_diff_jacobian(lambda z: problem.gradient1(x1, z), x2)
-    m2 = finite_diff_jacobian(lambda z: problem.gradient2(z, x2), x1)
+    m1 = finite_diff_jacobian(lambda z: problem.at(x1, z).grad1, x2)
+    m2 = finite_diff_jacobian(lambda z: problem.at(z, x2).grad2, x1)
     assert m1 == pytest.approx(np.array([[1.0]]), abs=1e-6)
     assert m2 == pytest.approx(np.array([[-1.0]]), abs=1e-6)
 
@@ -131,15 +135,15 @@ def test_fallback_oracles_cover_missing_derivatives():
         f1=lambda x1, x2: x1[0] ** 2 + x1[0] * x2[0] - 5 * x1[0],
         f2=lambda x1, x2: 1.5 * x2[0] ** 2 - x1[0] * x2[0] - x2[0],
     )
-    x1, x2 = np.array([-5.0]), np.array([1.0])
-    assert problem.gradient1(x1, x2) == pytest.approx([-14.0], rel=1e-7)
+    point = problem.at(np.array([-5.0]), np.array([1.0]))
+    assert point.grad1 == pytest.approx([-14.0], rel=1e-7)
     # differencing a differenced gradient stacks the rounding noise, so the
     # double-fallback blocks are only good to ~1e-3
-    assert problem.hessian11(x1, x2) == pytest.approx(np.array([[2.0]]), rel=5e-3)
-    assert problem.mixed12_f1(x1, x2) == pytest.approx(np.array([[1.0]]), rel=5e-3)
-    assert problem.mixed21_f2(x1, x2) == pytest.approx(np.array([[-1.0]]), rel=5e-3)
-    # each accessor is the problem's own central difference, bit for bit;
-    # only the own blocks are symmetrized
+    assert point.hess11 == pytest.approx(np.array([[2.0]]), rel=5e-3)
+    assert point.mixed12 == pytest.approx(np.array([[1.0]]), rel=5e-3)
+    assert point.mixed21 == pytest.approx(np.array([[-1.0]]), rel=5e-3)
+    # each quantity of a point is the problem's own central difference, bit
+    # for bit; only the own blocks are symmetrized
     x1, x2 = np.array([0.3, -1.2]), np.array([0.7])
     problem = NepProblem(
         n1=2,
@@ -147,51 +151,52 @@ def test_fallback_oracles_cover_missing_derivatives():
         f1=lambda x1, x2: x1[0] ** 3 * x1[1] + x1[1] ** 2 * x2[0] + np.sin(x1[0] * x2[0]),
         f2=lambda x1, x2: x2[0] ** 4 + x1[0] * x1[1] * x2[0],
     )
-    assert np.array_equal(problem.gradient1(x1, x2), problem.finite_difference("grad1", x1, x2))
-    assert np.array_equal(problem.gradient2(x1, x2), problem.finite_difference("grad2", x1, x2))
+    point = problem.at(x1, x2)
+    assert np.array_equal(point.grad1, problem.finite_difference("grad1", x1, x2))
+    assert np.array_equal(point.grad2, problem.finite_difference("grad2", x1, x2))
     fd11 = problem.finite_difference("hess11", x1, x2)
     assert not np.array_equal(fd11, fd11.T)
-    assert np.array_equal(problem.hessian11(x1, x2), 0.5 * (fd11 + fd11.T))
+    assert np.array_equal(point.hess11, 0.5 * (fd11 + fd11.T))
     fd22 = problem.finite_difference("hess22", x1, x2)
-    assert np.array_equal(problem.hessian22(x1, x2), 0.5 * (fd22 + fd22.T))
-    assert np.array_equal(problem.mixed12_f1(x1, x2), problem.finite_difference("hess12_f1", x1, x2))
-    assert np.array_equal(problem.mixed21_f2(x1, x2), problem.finite_difference("hess21_f2", x1, x2))
+    assert np.array_equal(point.hess22, 0.5 * (fd22 + fd22.T))
+    assert np.array_equal(point.mixed12, problem.finite_difference("hess12_f1", x1, x2))
+    assert np.array_equal(point.mixed21, problem.finite_difference("hess21_f2", x1, x2))
 
 
 def test_classify_example5_origin_is_equilibrium():
-    cls = classify_point(make_example(5), [0.0], [0.0], tol=1e-4)
+    cls = classify_point(residual_at(make_example(5), [0.0], [0.0]), tol=1e-4)
     assert cls.kind is PointKind.EQUILIBRIUM_CANDIDATE
 
 
 def test_classify_example5_other_stationary_point():
     # both own-blocks have second derivative -1 at (-1, -1)
-    cls = classify_point(make_example(5), [-1.0], [-1.0], tol=1e-4)
+    cls = classify_point(residual_at(make_example(5), [-1.0], [-1.0]), tol=1e-4)
     assert cls.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
     assert cls.min_eig_2 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_classify_example3_stationary_point():
-    cls = classify_point(make_example(3), [3.2], [-1.4], tol=1e-4)
+    cls = classify_point(residual_at(make_example(3), [3.2], [-1.4]), tol=1e-4)
     assert cls.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
     assert cls.min_eig_2 == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_classify_far_point_is_non_stationary():
-    cls = classify_point(make_example(1), [-5.0], [1.0], tol=1e-4)
+    cls = classify_point(residual_at(make_example(1), [-5.0], [1.0]), tol=1e-4)
     assert cls.kind is PointKind.NON_STATIONARY
 
 
 def test_classify_strict_minimizer_any_tolerance():
     problem = make_example(1)
     for tol in (1e-12, 1e-6, 1.0):
-        cls = classify_point(problem, [2.0], [1.0], tol=tol)
+        cls = classify_point(residual_at(problem, [2.0], [1.0]), tol=tol)
         assert cls.kind is PointKind.EQUILIBRIUM_CANDIDATE
 
 
 def test_classify_requires_positive_tolerance():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            classify_point(make_example(1), [2.0], [1.0], tol=tol)
+            classify_point(residual_at(make_example(1), [2.0], [1.0]), tol=tol)
 
 
 def test_point_class_from_values():
@@ -219,9 +224,10 @@ def test_min_eigs_are_spectral_bounds_read_once(eigvalsh_calls, point):
     # (-1, 3) and (0, 0.5); the Cholesky test settles the positive ones, and
     # eigvalsh decides -1 and 0
     problem = make_example(5)
-    cls = classify_point(problem, [point[0]], [point[1]], tol=10.0)
+    res = residual_at(problem, [point[0]], [point[1]])
+    cls = classify_point(res, tol=10.0)
     decided = len(eigvalsh_calls)
-    blocks = (problem.hessian11([point[0]], [point[1]]), problem.hessian22([point[0]], [point[1]]))
+    blocks = (res.point.hess11, res.point.hess22)
     expected = [spectral_bounds_sym(h)[0].hex() for h in blocks]
     del eigvalsh_calls[:]
     got = [cls.min_eig_1.hex(), cls.min_eig_2.hex(), cls.min_eig_1.hex(), cls.min_eig_2.hex()]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from nepsolve import (
-    HessianStrategy,
     SolveStatus,
     SolverConfig,
     estimate_assumptions,
@@ -71,9 +70,7 @@ def test_lemma_checks_example5_zero_violations():
 def test_lemma_checks_random_quadratics_zero_violations():
     for seed in range(20):
         q = random_quadratic_nep(1 + seed % 3, 1 + (seed // 3) % 3, seed=seed)
-        cfg = SolverConfig(
-            hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=q.A1, user_h2=q.A2
-        )
+        cfg = SolverConfig(user_h1=q.A1, user_h2=q.A2)
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-3, 3, size=q.n1 + q.n2)
         report = solve(q.to_problem(), x0[: q.n1], x0[q.n1 :], cfg)
@@ -155,9 +152,7 @@ def test_monitor_stepsizes_example5():
 
 def test_monitor_stepsizes_quadratic_full_steps():
     q = random_quadratic_nep(3, 2, seed=21)
-    cfg = SolverConfig(
-        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=q.A1, user_h2=q.A2
-    )
+    cfg = SolverConfig(user_h1=q.A1, user_h2=q.A2)
     report = solve(q.to_problem(), np.ones(3), -np.ones(2), cfg)
     steps = monitor_stepsizes(report)
     assert steps.t_min_observed == 1.0

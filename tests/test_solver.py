@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from nepsolve import (
-    HessianStrategy,
     NepProblem,
     PointKind,
     SolveStatus,
@@ -28,6 +27,21 @@ from nepsolve.linalg import CHOL_PIVOT_SAFETY, _chol_succeeds, assemble_block_sy
 from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
 
 
+def residual_at(problem, x1, x2):
+    return evaluate_residual(problem, problem.at(x1, x2))
+
+
+def gradient_norms(g1, g2):
+    return float(np.linalg.norm(g1)), float(np.linalg.norm(g2))
+
+
+def direction_at(res, H1, H2, t, config):
+    """compute_direction at the iterate of res, as the descent step calls it."""
+    point, rhs = res.point, -np.concatenate([res.g1, res.g2])
+    g_norms = gradient_norms(res.g1, res.g2)
+    return compute_direction(H1, H2, point.mixed12, point.mixed21, g_norms, rhs, t, config)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(alpha=0.0)
@@ -40,18 +54,18 @@ def test_config_validation():
     for name in ("theta", "gamma", "grad_tol"):
         with pytest.raises(ValueError):
             SolverConfig(**{name: np.nan})
-    with pytest.raises(ValueError):
-        SolverConfig(hessian_strategy=HessianStrategy.USER_SUPPLIED)
-    # user Hessians must be finite, square, symmetric 2-D arrays
+    # user Hessians come in pairs
+    for one in ({"user_h1": np.eye(1)}, {"user_h2": np.eye(1)}):
+        with pytest.raises(ValueError):
+            SolverConfig(**one)
+    # and must be finite, square, symmetric 2-D arrays
     for bad in ([[np.nan]], [[1.0, 0.0]], [1.0], [[1.0, 2.0], [0.0, 1.0]], np.ones((1, 1, 1))):
         with pytest.raises(ValueError):
-            SolverConfig(user_h1=bad)
+            SolverConfig(user_h1=bad, user_h2=np.eye(1))
         with pytest.raises(ValueError):
-            SolverConfig(user_h2=bad)
+            SolverConfig(user_h1=np.eye(1), user_h2=bad)
     # and match the problem's player dimensions
-    wrong_shape = SolverConfig(
-        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=np.eye(2), user_h2=[[1.0]]
-    )
+    wrong_shape = SolverConfig(user_h1=np.eye(2), user_h2=[[1.0]])
     with pytest.raises(ValueError):
         solve(make_example(1), [-5.0], [1.0], wrong_shape)
 
@@ -83,10 +97,10 @@ def test_safeguard_keeps_block_for_large_t():
 def test_direction_counterexample(counterexample_problem):
     problem = counterexample_problem
     x1, x2 = np.array([0.0]), np.array([0.0])
-    res = evaluate_residual(problem, x1, x2)
+    res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[1.0]]), 1e-8)
     H2 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, 1.0, SolverConfig())
+    d = direction_at(res, H1, H2, 1.0, SolverConfig())
     assert d.d1 == pytest.approx([3.0], abs=1e-14)
     assert d.d2 == pytest.approx([-2.0], abs=1e-14)
 
@@ -95,10 +109,10 @@ def test_direction_example1_lands_on_solution():
     # hand solve of [[2, 1], [-1, 3]] d = (14, -7): d = (7, 0)
     problem = make_example(1)
     x1, x2 = np.array([-5.0]), np.array([1.0])
-    res = evaluate_residual(problem, x1, x2)
+    res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[2.0]]), 1e-8)
     H2 = modified_cholesky(np.array([[3.0]]), 1e-8)
-    d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, 1.0, SolverConfig())
+    d = direction_at(res, H1, H2, 1.0, SolverConfig())
     assert d.d1 == pytest.approx([7.0], abs=1e-13)
     assert d.d2 == pytest.approx([0.0], abs=1e-13)
     assert x1 + d.d1 == pytest.approx([2.0], abs=1e-12)
@@ -107,9 +121,9 @@ def test_direction_example1_lands_on_solution():
 def test_direction_zero_gradient_gives_zero():
     problem = make_example(1)
     x1, x2 = np.array([2.0]), np.array([1.0])
-    res = evaluate_residual(problem, x1, x2)
-    H1, H2 = build_surrogates(problem, x1, x2, SolverConfig())
-    d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, 1.0, SolverConfig())
+    res = residual_at(problem, x1, x2)
+    H1, H2 = build_surrogates(res.point, SolverConfig())
+    d = direction_at(res, H1, H2, 1.0, SolverConfig())
     assert np.all(d.d1 == 0.0) and np.all(d.d2 == 0.0)
 
 
@@ -117,12 +131,12 @@ def test_direction_solves_assembled_system():
     problem = make_example(5)
     cfg = SolverConfig()
     x1, x2 = np.array([-5.0]), np.array([1.0])
-    res = evaluate_residual(problem, x1, x2)
-    H1, H2 = build_surrogates(problem, x1, x2, cfg)
+    res = residual_at(problem, x1, x2)
+    H1, H2 = build_surrogates(res.point, cfg)
     for t in (1.0, 0.5, 0.25):
-        d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, t, cfg)
-        lhs1 = H1.matrix @ d.d1 + t * problem.mixed12_f1(x1, x2) @ d.d2
-        lhs2 = t * problem.mixed21_f2(x1, x2) @ d.d1 + H2.matrix @ d.d2
+        d = direction_at(res, H1, H2, t, cfg)
+        lhs1 = H1.matrix @ d.d1 + t * res.point.mixed12 @ d.d2
+        lhs2 = t * res.point.mixed21 @ d.d1 + H2.matrix @ d.d2
         resid = np.linalg.norm(np.concatenate([lhs1 + res.g1, lhs2 + res.g2]))
         assert resid <= 1e-8 * max(1.0, res.norm)
 
@@ -130,11 +144,11 @@ def test_direction_solves_assembled_system():
 def test_inequalities_reject_counterexample_direction(counterexample_problem):
     problem = counterexample_problem
     x1, x2 = np.array([0.0]), np.array([0.0])
-    res = evaluate_residual(problem, x1, x2)
+    res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[1.0]]), 1e-8)
     H2 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, 1.0, SolverConfig())
-    cert = check_inequalities(problem, x1, x2, res.g1, res.g2, d, 1.0, SolverConfig())
+    d = direction_at(res, H1, H2, 1.0, SolverConfig())
+    cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, 1.0, SolverConfig())
     # the predicted-gradient slope for player 1 is positive: angle check fails
     assert cert.checks[1] is False or cert.checks[1] == False  # noqa: E712
     assert not cert.accepted
@@ -143,11 +157,11 @@ def test_inequalities_reject_counterexample_direction(counterexample_problem):
 def test_inequalities_accept_example1_full_step():
     problem = make_example(1)
     x1, x2 = np.array([-5.0]), np.array([1.0])
-    res = evaluate_residual(problem, x1, x2)
+    res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[2.0]]), 1e-8)
     H2 = modified_cholesky(np.array([[3.0]]), 1e-8)
-    d = compute_direction(problem, x1, x2, res.g1, res.g2, H1, H2, 1.0, SolverConfig())
-    cert = check_inequalities(problem, x1, x2, res.g1, res.g2, d, 1.0, SolverConfig())
+    d = direction_at(res, H1, H2, 1.0, SolverConfig())
+    cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, 1.0, SolverConfig())
     assert cert.accepted
 
 
@@ -156,10 +170,10 @@ def test_inequalities_zero_direction_at_stationary_point():
     # there every inequality degenerates to 0 <= 0
     problem = make_example(5)
     x1, x2 = np.array([0.0]), np.array([0.0])
-    res = evaluate_residual(problem, x1, x2)
+    res = residual_at(problem, x1, x2)
     d = Direction(d1=np.zeros(1), d2=np.zeros(1))
     for t in (1.0, 0.5, 0.125):
-        cert = check_inequalities(problem, x1, x2, res.g1, res.g2, d, t, SolverConfig())
+        cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, t, SolverConfig())
         assert cert.accepted
 
 
@@ -247,7 +261,7 @@ def test_certificates_recheck_from_records():
     for rec in report.trajectory:
         d = Direction(d1=rec.d1, d2=rec.d2)
         cert = check_inequalities(
-            report.problem, rec.x1, rec.x2, rec.g1, rec.g2, d, rec.t, cfg
+            report.problem, rec.x1, rec.x2, gradient_norms(rec.g1, rec.g2), d, rec.t, cfg
         )
         assert cert.accepted
         assert cert.checks == rec.certificate.checks
@@ -259,8 +273,9 @@ def test_monotone_predicted_descent():
     for rec in report.trajectory:
         y1 = rec.x1 + rec.t * rec.d1
         y2 = rec.x2 + rec.t * rec.d2
-        assert problem.value1(y1, y2) <= problem.value1(rec.x1, y2)
-        assert problem.value2(y1, y2) <= problem.value2(y1, rec.x2)
+        trial = problem.at(y1, y2)
+        assert trial.value1 <= problem.at(rec.x1, y2).value1
+        assert trial.value2 <= problem.at(y1, rec.x2).value2
 
 
 def test_gradient_bounded_by_block_norm_times_direction():
@@ -270,12 +285,10 @@ def test_gradient_bounded_by_block_norm_times_direction():
         report = solve(problem, [x0[0]], [x0[1]])
         cfg = report.config
         for rec in report.trajectory:
-            H1, H2 = build_surrogates(problem, rec.x1, rec.x2, cfg)
+            point = problem.at(rec.x1, rec.x2)
+            H1, H2 = build_surrogates(point, cfg)
             g1n, g2n = np.linalg.norm(rec.g1), np.linalg.norm(rec.g2)
-            M1, M2 = safeguard_mixed_blocks(
-                g1n, g2n, rec.t, cfg,
-                problem.mixed12_f1(rec.x1, rec.x2), problem.mixed21_f2(rec.x1, rec.x2),
-            )
+            M1, M2 = safeguard_mixed_blocks(g1n, g2n, rec.t, cfg, point.mixed12, point.mixed21)
             Ht = assemble_block_system(H1, H2, M1, M2, rec.t)
             g = np.concatenate([rec.g1, rec.g2])
             d = np.concatenate([rec.d1, rec.d2])
@@ -310,9 +323,7 @@ def test_safeguard_forces_zero_direction_for_stationary_player():
 
 def test_quadratic_one_step_with_exact_hessians():
     q = random_quadratic_nep(3, 2, seed=5)
-    cfg = SolverConfig(
-        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=q.A1, user_h2=q.A2
-    )
+    cfg = SolverConfig(user_h1=q.A1, user_h2=q.A2)
     report = solve(q.to_problem(), np.zeros(3), np.zeros(2), cfg)
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
@@ -324,13 +335,8 @@ def test_quadratic_one_step_with_exact_hessians():
 def test_identity_strategy_runs():
     # identity surrogates are user-supplied identity blocks: modified_cholesky
     # returns I unchanged, with shift 0
-    cfg = SolverConfig(
-        hessian_strategy=HessianStrategy.USER_SUPPLIED,
-        user_h1=np.eye(1),
-        user_h2=np.eye(1),
-        max_iter=5000,
-    )
-    for H in build_surrogates(make_example(1), [-5.0], [1.0], cfg):
+    cfg = SolverConfig(user_h1=np.eye(1), user_h2=np.eye(1), max_iter=5000)
+    for H in build_surrogates(make_example(1).at([-5.0], [1.0]), cfg):
         assert np.array_equal(H.matrix, np.eye(1)) and H.shift == 0.0
     report = solve(make_example(1), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.CONVERGED
@@ -339,9 +345,7 @@ def test_identity_strategy_runs():
 
 def test_overflowing_user_hessian_shift_is_undefined_step():
     # the doubling shift cannot make -1e13 positive below its 1e12 cap
-    cfg = SolverConfig(
-        hessian_strategy=HessianStrategy.USER_SUPPLIED, user_h1=[[-1e13]], user_h2=[[1.0]]
-    )
+    cfg = SolverConfig(user_h1=[[-1e13]], user_h2=[[1.0]])
     report = solve(make_example(1), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
@@ -416,7 +420,7 @@ def test_descent_newton_evaluates_each_point_once(monkeypatch):
     compute_direction_ = solver_mod.compute_direction
 
     def counted(*args, **kwargs):
-        trials.append(args[7])  # the trial's t
+        trials.append(args[6])  # the trial's t
         return compute_direction_(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "compute_direction", counted)
@@ -432,11 +436,13 @@ def test_newton_kkt_evaluates_each_iterate_once(monkeypatch):
     evaluate_residual_ = solver_mod.evaluate_residual
 
     def counted(*args, **kwargs):
-        residuals.append(args[1:3])
+        residuals.append(args[1])
         return evaluate_residual_(*args, **kwargs)
 
     monkeypatch.setattr(solver_mod, "evaluate_residual", counted)
-    report = solve_newton_kkt(problem, [2.0, 3.0], [-3.0, 2.0])
+    # from the paper start newton-kkt leaves the escape radius; from this
+    # start it converges, so the final classification reads the last point
+    report = solve_newton_kkt(problem, [0.5, 0.5], [-0.5, -0.5])
     assert report.status is SolveStatus.CONVERGED
     assert len(points) == len(residuals) == report.iterations + 1
 
@@ -445,7 +451,8 @@ def test_exact_jacobi_evaluates_no_point_twice():
     # both per-player solves start from the iterate's residual and point,
     # and an accepted inner trial point is the next inner iterate
     problem, points = _count_point_evaluations(get_problem("facility2d"))
-    report = solve_exact_jacobi(problem, [2.0, 3.0], [-3.0, 2.0])
+    # a start from which exact-jacobi converges inside the escape radius
+    report = solve_exact_jacobi(problem, [0.5, 0.5], [-0.5, -0.5])
     assert report.status is SolveStatus.CONVERGED
     keys = [(x1.tobytes(), x2.tobytes()) for x1, x2 in points]
     assert len(set(keys)) == len(keys) > 2 * (report.iterations + 1)
@@ -611,7 +618,7 @@ def test_classification_matches_eigvalsh_rule(kind, n):
         h11 = _classify_block(kind, n, seed)
         h22 = _classify_block(kind, n, seed + 5)
         min_eigs = [float(np.linalg.eigvalsh(0.5 * (h + h.T))[0]) for h in (h11, h22)]
-        cls = classify_point(_blocks_problem(h11, h22), np.zeros(n), np.zeros(n), tol=1e-4)
+        cls = classify_point(residual_at(_blocks_problem(h11, h22), np.zeros(n), np.zeros(n)), tol=1e-4)
         psd = min(min_eigs) >= -EPS_PSD
         assert cls.kind is (
             PointKind.EQUILIBRIUM_CANDIDATE if psd else PointKind.NON_EQUILIBRIUM_STATIONARY
