@@ -175,6 +175,10 @@ SOLVE_SHA256 = {
 #: sha256 of `nepsolve table1`'s table1.csv
 TABLE1_SHA256 = "9ff3f8f39c7c9a28747cc7709f278241befc63b8a3a588b17c150237648c7322"
 
+#: sha256 of `nepsolve facility-bench --runs 100 --seed 0`'s facility_bench.csv
+#: (the default solvers, descent-newton and newton-kkt)
+FACILITY_BENCH_SHA256 = "33b833870488511f2c6172a2c047fbeeefe403161f4c9e4a7682bfc84165bb08"
+
 
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -191,3 +195,9 @@ def test_solve_files_are_byte_identical(tmp_path, problem_id, solver):
 def test_table1_csv_is_byte_identical(tmp_path):
     assert main(["table1", "--out-dir", str(tmp_path)]) == 0
     assert _sha256(tmp_path / "table1.csv") == TABLE1_SHA256
+
+
+def test_facility_bench_csv_is_byte_identical(tmp_path):
+    args = ["facility-bench", "--runs", "100", "--seed", "0", "--out-dir", str(tmp_path)]
+    assert main(args) == 0
+    assert _sha256(tmp_path / "facility_bench.csv") == FACILITY_BENCH_SHA256
