@@ -26,7 +26,7 @@ def newton_kkt_step(problem, res):
     """
     point = res.point
     K = assemble_block_system(point.hess11, point.hess22, point.mixed12, point.mixed21, 1.0)
-    if not np.all(np.isfinite(K)):
+    if not np.isfinite(K).all():
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     d = lu_solve(K, -np.concatenate([res.g1, res.g2]))
     return d[: problem.n1], d[problem.n1 :]
@@ -47,7 +47,7 @@ def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
     """
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(max_iter):
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteEvaluation("non-finite gradient in inner solve")
         if np.linalg.norm(g) <= tol:
             return z
@@ -63,7 +63,7 @@ def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
             z_trial = z + s * p
             trial = at(z_trial)
             g_trial = grad(trial)
-            if np.all(np.isfinite(g_trial)) and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
+            if np.isfinite(g_trial).all() and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
                 break
             s *= 0.5
         else:

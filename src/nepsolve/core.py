@@ -12,13 +12,14 @@ per-oracle callables. A residual carries its point, so one iterate is
 evaluated once.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import _symmetric_part, cholesky_settles, spectral_bounds_sym
+from .linalg import _as_matrix, _symmetric_part, cholesky_settles, spectral_bounds_sym
 
 #: PSD tolerance of the final classification: a Hessian block counts as
 #: positive semidefinite when its smallest eigenvalue is at least -EPS_PSD
@@ -143,10 +144,11 @@ class NepProblem:
     the point's gradient for a Hessian block (symmetrized for hess11/hess22).
 
     point is the optional fused oracle: point(x1, x2) returns an object
-    whose attributes value1, value2 (floats), grad1, grad2 (vectors),
-    hess11, hess22, mixed12 and mixed21 (n1 x n2 and n2 x n1 blocks) are
-    everything the solvers read at (x1, x2), so that work shared between
-    them (the facility game's client distances) is done once per point.
+    whose attributes value1, value2 (floats), grad1, grad2 (float64
+    vectors), hess11, hess22, mixed12 and mixed21 (n1 x n2 and n2 x n1
+    blocks) are everything the solvers read at (x1, x2), so that work
+    shared between them (the facility game's client distances) is done
+    once per point.
     When it is given, every read of the problem goes through it, and the
     per-oracle derivative callables may be omitted (f1 and f2 stay, for the
     central differences that validate it). Without it, a point reads the
@@ -237,11 +239,12 @@ def evaluate_residual(problem, point):
     """
     g1 = point.grad1
     g2 = point.grad2
-    if not (np.all(np.isfinite(g1)) and np.all(np.isfinite(g2))):
+    if not (np.isfinite(g1).all() and np.isfinite(g2).all()):
         raise NonFiniteEvaluation(
             f"gradient oracle returned a non-finite value for {problem.name!r}"
         )
-    norm = float(np.linalg.norm(np.concatenate([g1, g2])))
+    g = np.concatenate([g1, g2])
+    norm = math.sqrt(g.dot(g))  # np.linalg.norm(g), without its dispatch
     return Residual(g1=g1, g2=g2, norm=norm, point=point)
 
 
@@ -304,10 +307,8 @@ def classify_point(res, tol):
     # negated so that NaN fails it too
     if not tol > 0:
         raise ValueError("tolerance must be positive")
-    blocks = tuple(
-        np.atleast_2d(np.asarray(h, dtype=float)) for h in (res.point.hess11, res.point.hess22)
-    )
-    if not all(np.all(np.isfinite(h)) for h in blocks):
+    blocks = (_as_matrix(res.point.hess11), _as_matrix(res.point.hess22))
+    if not (np.isfinite(blocks[0]).all() and np.isfinite(blocks[1]).all()):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     min_eigs = [None, None]
 

@@ -15,6 +15,12 @@ for a block the test cannot decide, and a doubling diagonal shift, decided
 by the same potrf, that turns an indefinite Hessian into a positive
 definite surrogate. No routine here writes to its arguments, and none
 copies an n x n matrix that it does not need.
+
+The public kernels validate their arguments at the boundary, and each check
+is cheap on what the solvers pass, 2-D float64 arrays: such an array is
+taken as it is, without a conversion round trip, and the checks use array
+methods and, for blocks of order at most 2, scalar reads. On 2 x 2 Hessian
+blocks numpy's per-call overhead, not the arithmetic, is what a check costs.
 """
 
 import importlib.machinery
@@ -80,6 +86,24 @@ MAX_SHIFT = 1e12
 #: cholesky_settles)
 CHOL_ROUNDING = 16 * np.finfo(float).eps
 
+_FLOAT = np.dtype(float)
+
+
+def _as_matrix(A):
+    """A as a float64 array of at least two dimensions; a 2-D float64
+    ndarray is returned as it is, as the conversion would return it."""
+    if type(A) is np.ndarray and A.ndim == 2 and A.dtype == _FLOAT:
+        return A
+    return np.atleast_2d(np.asarray(A, dtype=float))
+
+
+def _as_vector(b):
+    """b as a float64 array of at least one dimension; a 1-D float64
+    ndarray is returned as it is."""
+    if type(b) is np.ndarray and b.ndim == 1 and b.dtype == _FLOAT:
+        return b
+    return np.atleast_1d(np.asarray(b, dtype=float))
+
 
 def lu_solve(A, b):
     """Solve A x = b by LU with partial pivoting.
@@ -88,13 +112,13 @@ def lu_solve(A, b):
     PIVOT_RTOL * ||A||_inf; this is the non-singularity check the iteration
     applies to the block system before using a direction.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
+    A = _as_matrix(A)
+    b = _as_vector(b)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
     if b.shape != (A.shape[0],):
         raise DimensionMismatch(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise SingularMatrixError("matrix contains non-finite entries")
     if A.size == 0:
         return np.empty(0)  # LAPACK rejects the empty system
@@ -102,9 +126,9 @@ def lu_solve(A, b):
     # off); an exactly zero pivot comes back through info and fails the
     # pivot test below
     lu, piv, _ = lapack.dgetrf(A)
-    norm_inf = float(np.max(np.sum(np.abs(A), axis=1)))
-    pivots = np.abs(np.diag(lu))
-    if not np.all(pivots > PIVOT_RTOL * norm_inf):
+    norm_inf = np.abs(A).sum(axis=1).max()
+    pivots = np.abs(lu.diagonal())
+    if not (pivots > PIVOT_RTOL * norm_inf).all():
         raise SingularMatrixError(
             f"pivot {pivots.min():.3e} below {PIVOT_RTOL:.0e} * ||A||_inf"
         )
@@ -127,16 +151,19 @@ def _is_symmetric(H):
 
 
 def _symmetric_part(H):
-    """0.5 * (H + H.T) of a float64 H, bit for bit.
+    """0.5 * (H + H.T) of a square float64 H, bit for bit.
 
     A bitwise symmetric H is its own symmetric part, so it is returned as
     it is, without the two n x n temporaries (entries beyond half the
-    largest float, whose sum would overflow, are the one exception).
+    largest float, whose sum would overflow, are the one exception). A
+    block of order 2 compares its one off-diagonal pair as scalars.
     """
-    bits = H.view(np.uint64)
-    if (bits == bits.T).all():
+    n = H.shape[0]
+    if n < 2:
         return H
-    return 0.5 * (H + H.T)
+    bits = H.view(np.uint64)
+    symmetric = bits[0, 1] == bits[1, 0] if n == 2 else (bits == bits.T).all()
+    return H if symmetric else 0.5 * (H + H.T)
 
 
 def modified_cholesky(H, floor):
@@ -145,13 +172,16 @@ def modified_cholesky(H, floor):
     Returns H + delta*I with the smallest delta in {0, floor, 2*floor,
     4*floor, ...} whose Cholesky factorization succeeds with pivots at least
     floor * CHOL_PIVOT_SAFETY. An already sufficiently positive definite H
-    is returned unchanged (shift 0).
+    is returned unchanged (shift 0). Raises ValueError for a non-finite H,
+    which no shift makes positive definite.
     """
-    H = np.atleast_2d(np.asarray(H, dtype=float))
+    H = _as_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {H.shape}")
     if floor <= 0:
         raise ValueError("eigenvalue floor must be positive")
+    if not np.isfinite(H).all():
+        raise ValueError("modified_cholesky requires finite entries")
     S = _symmetric_part(H)
     # a bitwise symmetric H passes the tolerance test by construction
     if S is not H and not _is_symmetric(H):
@@ -181,8 +211,29 @@ def _chol_succeeds(M, pivot_floor):
     factorization), and factors a copy of M.
     """
     L, info = lapack.dpotrf(M, lower=1, clean=0)
-    # pivots in the LDL^T sense are the squared Cholesky diagonal
-    return info == 0 and bool(L.diagonal().min() ** 2 >= pivot_floor)
+    if info != 0:
+        return False
+    # pivots in the LDL^T sense are the squared Cholesky diagonal (positive
+    # once potrf succeeds); a block of order at most 2 reads its entries
+    return bool(_diagonal_min(L) ** 2 >= pivot_floor)
+
+
+def _diagonal_min(M):
+    n = M.shape[0]
+    if n == 1 or n == 2:
+        return min(M[0, 0], M[n - 1, n - 1])
+    return M.diagonal().min()
+
+
+def _trace(M):
+    # summed from the entries on blocks of order 1 and 2; the order of the
+    # sum can change only the sign of a zero trace
+    n = M.shape[0]
+    if n == 1:
+        return M[0, 0]
+    if n == 2:
+        return M[0, 0] + M[1, 1]
+    return M.trace()
 
 
 def cholesky_settles(S, floor):
@@ -199,12 +250,12 @@ def cholesky_settles(S, floor):
     """
     return (
         _chol_succeeds(S, floor * CHOL_PIVOT_SAFETY)
-        and CHOL_ROUNDING * S.shape[0] * S.trace() <= floor
+        and CHOL_ROUNDING * S.shape[0] * _trace(S) <= floor
     )
 
 
 def _block(h):
-    return np.atleast_2d(np.asarray(getattr(h, "matrix", h), dtype=float))
+    return _as_matrix(getattr(h, "matrix", h))
 
 
 def assemble_block_system(H1, H2, M1, M2, t):
@@ -215,8 +266,8 @@ def assemble_block_system(H1, H2, M1, M2, t):
     """
     H1 = _block(H1)
     H2 = _block(H2)
-    M1 = np.atleast_2d(np.asarray(M1, dtype=float))
-    M2 = np.atleast_2d(np.asarray(M2, dtype=float))
+    M1 = _as_matrix(M1)
+    M2 = _as_matrix(M2)
     n1 = H1.shape[0]
     n2 = H2.shape[0]
     if H1.shape != (n1, n1) or H2.shape != (n2, n2):

@@ -20,6 +20,7 @@ baselines: each solver only supplies its step function, and every failure
 inside the loop becomes a SolveStatus on the report.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -195,7 +196,7 @@ def build_surrogates(point, config):
         )
     h11 = point.hess11
     h22 = point.hess22
-    if not (np.all(np.isfinite(h11)) and np.all(np.isfinite(h22))):
+    if not (np.isfinite(h11).all() and np.isfinite(h22).all()):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     return _exact_surrogate(h11), _exact_surrogate(h22)
 
@@ -216,6 +217,11 @@ def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
     return Direction(d1=d[:n1], d2=d[n1:])
 
 
+def _norm(v):
+    # what np.linalg.norm computes for a float vector, without its dispatch
+    return math.sqrt(v.dot(v))
+
+
 def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     """Evaluate the six acceptance inequalities for a trial step.
 
@@ -226,8 +232,11 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     relative to that gradient (vacuous for a stationary player). g_norms is
     the pair (||g1||, ||g2||) at the iterate.
 
-    The problem is evaluated at three points, (x1, y2), (y1, x2) and the
-    trial point (y1, y2), with y = x + t*d.
+    The problem is evaluated at three points, (x1, y2), the trial point
+    (y1, y2) and (y1, x2), with y = x + t*d, in this order: each player
+    then meets the iterate's decision and the trial's in turn, so a point
+    oracle that keeps each player's last two decisions (the facility
+    game's) computes only what y1 and y2 change.
 
     Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
     treats that as a rejected trial and notes possible divergence.
@@ -236,8 +245,8 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     y1 = x1 + t * d1
     y2 = x2 + t * d2
     pred1 = problem._at(x1, y2)  # player 1 against the predicted x2
-    pred2 = problem._at(y1, x2)
     trial = problem._at(y1, y2)
+    pred2 = problem._at(y1, x2)
 
     p1 = pred1.grad1
     p2 = pred2.grad2
@@ -245,14 +254,20 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     f1_pred = pred1.value1
     f2_trial = trial.value2
     f2_pred = pred2.value2
-    values = np.concatenate([p1, p2, [f1_trial, f1_pred, f2_trial, f2_pred]])
-    if not np.all(np.isfinite(values)):
+    if not (
+        np.isfinite(p1).all()
+        and np.isfinite(p2).all()
+        and math.isfinite(f1_trial)
+        and math.isfinite(f1_pred)
+        and math.isfinite(f2_trial)
+        and math.isfinite(f2_pred)
+    ):
         raise NonFiniteEvaluation("non-finite evaluation at a trial point")
 
-    d1n = float(np.linalg.norm(d1))
-    d2n = float(np.linalg.norm(d2))
-    p1n = float(np.linalg.norm(p1))
-    p2n = float(np.linalg.norm(p2))
+    d1n = _norm(d1)
+    d2n = _norm(d2)
+    p1n = _norm(p1)
+    p2n = _norm(p2)
     g1n, g2n = g_norms
     slope1 = float(p1 @ d1)
     slope2 = float(p2 @ d2)
@@ -283,9 +298,9 @@ def _descent_step(problem, config, x1, x2, res):
     H1, H2 = build_surrogates(res.point, config)
     mixed1 = res.point.mixed12
     mixed2 = res.point.mixed21
-    if not (np.all(np.isfinite(mixed1)) and np.all(np.isfinite(mixed2))):
+    if not (np.isfinite(mixed1).all() and np.isfinite(mixed2).all()):
         raise NonFiniteEvaluation("mixed Hessian block is non-finite")
-    g_norms = (float(np.linalg.norm(res.g1)), float(np.linalg.norm(res.g2)))
+    g_norms = (_norm(res.g1), _norm(res.g2))
     rhs = -np.concatenate([res.g1, res.g2])
 
     t = 1.0
@@ -301,7 +316,7 @@ def _descent_step(problem, config, x1, x2, res):
             try:
                 cert = check_inequalities(problem, x1, x2, g_norms, direction, t, config)
                 if cert.accepted:
-                    cert = replace(cert, backtracks=backtracks, singular_halvings=singular_halvings)
+                    cert = LineSearchCertificate(cert.t, cert.checks, backtracks, singular_halvings)
                     d1, d2 = direction.d1, direction.d2
                     return x1 + t * d1, x2 + t * d2, t, d1, d2, cert
             except NonFiniteEvaluation:
@@ -345,7 +360,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     classification = None
     try:
         while True:
-            if max(np.max(np.abs(x1)), np.max(np.abs(x2))) > config.divergence_radius:
+            if max(np.abs(x1).max(), np.abs(x2).max()) > config.divergence_radius:
                 status = SolveStatus.DIVERGED
                 break
             res = evaluate_residual(problem, problem._at(x1, x2))

@@ -3,8 +3,6 @@ facility location model in 1-D and 2-D, and a seeded generator of strictly
 convex quadratic games."""
 
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from .core import NepProblem
@@ -159,97 +157,177 @@ class FacilityInstance:
 # squared distance to client j, v_j the opponent's and s_j = u_j + v_j.
 # Player 2's formulas are player 1's with the roles of u and v (and of the
 # two offsets x - z_j) swapped; u + v and v + u have the same bits.
+#
+#   f_1         = sum_j b_j u_j / s_j
+#   grad_1 f_1  = sum_j w_j (x1 - z_j),  w_j = 2 b_j v_j / s_j^2
+#   hess_11 f_1 = sum_j w_j I - sum_j (8 b_j v_j / s_j^3) (x1 - z_j)(x1 - z_j)^T
+#   hess_12 f_1 = sum_j (4 b_j (u_j - v_j) / s_j^3) (x1 - z_j)(x2 - z_j)^T
 
 
-def _share(b, u, s):
-    with np.errstate(divide="ignore", invalid="ignore"):
-        vals = b * u / s
-    return float(vals.sum())
+class _Half:
+    """One player's side of a facility point at x: the client offsets
+    x - z_j, their squared lengths u_j, and the two products of u_j that
+    the point's formulas divide, b_j u_j for the player's own share and
+    2 b'_j u_j for the opponent's gradient weight (b the player's profits,
+    b' the opponent's)."""
+
+    __slots__ = ("offsets", "sq", "share", "weight")
+
+    def __init__(self, x, clients, profits, other_profits_x2):
+        self.offsets = d = x - clients
+        self.sq = u = np.einsum("ij,ij->i", d, d)
+        self.share = profits * u
+        self.weight = other_profits_x2 * u
 
 
-def _share_grad(b, du, v, s):
-    # d/d own of f: sum_j 2 b_j (own - z_j) v_j / s_j^2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 2.0 * b * v / s**2
-    return (w[:, None] * du).sum(axis=0)
+class _Halves:
+    """One player's last two halves, keyed by the bytes of the decision.
+
+    A line-search trial evaluates (x1, y2), (y1, y2) and (y1, x2), in this
+    order, so each player meets the iterate's decision and the trial's, and
+    only y1 and y2 are new. The next iterate is the accepted trial point,
+    whose halves are both kept. A lookup reads each (key, half) pair once,
+    so a problem shared between threads never pairs a decision with
+    another decision's half.
+    """
+
+    __slots__ = ("_clients", "_profits", "_other_profits_x2", "_recent", "_older")
+
+    def __init__(self, clients, profits, other_profits):
+        self._clients = clients
+        self._profits = profits
+        self._other_profits_x2 = 2.0 * other_profits
+        self._recent = self._older = (None, None)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        key = x.tobytes()
+        recent = self._recent
+        if recent[0] == key:
+            return recent[1]
+        older = self._older
+        if older[0] == key:
+            self._recent, self._older = older, recent
+            return older[1]
+        half = _Half(x, self._clients, self._profits, self._other_profits_x2)
+        self._recent, self._older = (key, half), recent
+        return half
 
 
-def _share_hess_own(b, du, v, s):
-    # d/d own of the own gradient: sum_j (2 b_j v_j / s_j^2) I - (8 b_j v_j / s_j^3) du_j du_j^T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 2.0 * b * v / s**2
-        c = 8.0 * b * v / s**3
-    return w.sum() * np.eye(du.shape[1]) - (c[:, None] * du).T @ du
+class _FacilityOracle:
+    """The facility game's point oracle: oracle(x1, x2) is the game at
+    (x1, x2), built from each player's half (see _Halves). The instance's
+    clients and profits are read once, when the oracle is made."""
 
+    def __init__(self, instance):
+        b1, b2 = instance.profits1, instance.profits2
+        self.eye = np.eye(instance.dim)
+        self.profits1_x4, self.profits2_x4 = 4.0 * b1, 4.0 * b2
+        self.profits1_x8, self.profits2_x8 = 8.0 * b1, 8.0 * b2
+        self.halves1 = _Halves(instance.clients, b1, b2)
+        self.halves2 = _Halves(instance.clients, b2, b1)
 
-def _share_hess_mixed(b, du, dv, u, v, s):
-    # d/d other of the own gradient: sum_j 4 b_j (u_j - v_j) / s_j^3 du_j dv_j^T
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = 4.0 * b * (u - v) / s**3
-    return (c[:, None] * du).T @ dv
+    def __call__(self, x1, x2):
+        return _FacilityPoint(self, self.halves1(x1), self.halves2(x2))
 
 
 class _FacilityPoint:
-    """The facility game at (x1, x2): the client offsets x1 - z and x2 - z,
-    their squared lengths u and v and s = u + v are computed here, once;
-    every other quantity when it is read."""
+    """The facility game at (x1, x2), from the players' halves h1 and h2.
 
-    __slots__ = ("_b1", "_b2", "_d1", "_d2", "_u", "_v", "_s")
+    s = u + v is computed here. The first read of a value or gradient
+    computes the divisions of both players' shares and gradient weights;
+    the first read of a Hessian block those of the four second-order
+    weights, each pass under one errstate (a facility on a client makes
+    0/0 a value, not a warning). The matrices are formed when read.
+    """
 
-    def __init__(self, instance, x1, x2):
-        self._b1 = instance.profits1
-        self._b2 = instance.profits2
-        self._d1 = d1 = x1 - instance.clients
-        self._d2 = d2 = x2 - instance.clients
-        self._u = u = np.einsum("ij,ij->i", d1, d1)
-        self._v = v = np.einsum("ij,ij->i", d2, d2)
-        self._s = u + v
+    __slots__ = ("_oracle", "_h1", "_h2", "_s", "_first", "_second")
+
+    def __init__(self, oracle, h1, h2):
+        self._oracle = oracle
+        self._h1 = h1
+        self._h2 = h2
+        self._s = h1.sq + h2.sq
+        self._first = None
+        self._second = None
+
+    def _first_order(self):
+        # b u / s of each player's share and the gradient weights 2 b v / s^2
+        if self._first is None:
+            h1, h2, s = self._h1, self._h2, self._s
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ss = s**2
+                self._first = (h1.share / s, h2.share / s, h2.weight / ss, h1.weight / ss)
+        return self._first
+
+    def _second_order(self):
+        # 8 b v / s^3 of the own blocks and 4 b (u - v) / s^3 of the mixed ones
+        if self._second is None:
+            o, u, v = self._oracle, self._h1.sq, self._h2.sq
+            with np.errstate(divide="ignore", invalid="ignore"):
+                s3 = self._s**3
+                self._second = (
+                    o.profits1_x8 * v / s3,
+                    o.profits2_x8 * u / s3,
+                    o.profits1_x4 * (u - v) / s3,
+                    o.profits2_x4 * (v - u) / s3,
+                )
+        return self._second
 
     @property
     def value1(self):
-        return _share(self._b1, self._u, self._s)
+        return float(self._first_order()[0].sum())
 
     @property
     def value2(self):
-        return _share(self._b2, self._v, self._s)
+        return float(self._first_order()[1].sum())
 
     @property
     def grad1(self):
-        return _share_grad(self._b1, self._d1, self._v, self._s)
+        return (self._first_order()[2][:, None] * self._h1.offsets).sum(axis=0)
 
     @property
     def grad2(self):
-        return _share_grad(self._b2, self._d2, self._u, self._s)
+        return (self._first_order()[3][:, None] * self._h2.offsets).sum(axis=0)
 
     @property
     def hess11(self):
-        return _share_hess_own(self._b1, self._d1, self._v, self._s)
+        d1 = self._h1.offsets
+        c = self._second_order()[0]
+        return self._first_order()[2].sum() * self._oracle.eye - (c[:, None] * d1).T @ d1
 
     @property
     def hess22(self):
-        return _share_hess_own(self._b2, self._d2, self._u, self._s)
+        d2 = self._h2.offsets
+        c = self._second_order()[1]
+        return self._first_order()[3].sum() * self._oracle.eye - (c[:, None] * d2).T @ d2
 
     @property
     def mixed12(self):
-        return _share_hess_mixed(self._b1, self._d1, self._d2, self._u, self._v, self._s)
+        c = self._second_order()[2]
+        return (c[:, None] * self._h1.offsets).T @ self._h2.offsets
 
     @property
     def mixed21(self):
-        return _share_hess_mixed(self._b2, self._d2, self._d1, self._v, self._u, self._s)
+        c = self._second_order()[3]
+        return (c[:, None] * self._h2.offsets).T @ self._h1.offsets
 
 
 def make_facility(instance):
     """Competitive facility location game for a client/profit instance.
 
     Objectives, gradients and all four second-derivative blocks are
-    analytic, and the fused `point` oracle gives them all, computing the
-    client distances once per point; f1 and f2 are read off it. The game
-    is undefined (non-finite) when both facilities sit exactly on one client.
-    A facility 100 or more units from every client has walked off into the
-    flat tail, where the gradients vanish without any equilibrium: the
-    escape radius is 100.
+    analytic, and the fused `point` oracle gives them all; f1 and f2 are
+    read off it. A point is built from the two players' halves, each
+    player's client offsets and squared distances, and the oracle keeps
+    each player's last two halves: a line-search trial computes only the
+    halves of the trial decisions, and the next iterate, the accepted
+    trial point, computes none. The game is undefined (non-finite) when
+    both facilities sit exactly on one client. A facility 100 or more
+    units from every client has walked off into the flat tail, where the
+    gradients vanish without any equilibrium: the escape radius is 100.
     """
-    point = partial(_FacilityPoint, instance)
+    point = _FacilityOracle(instance)
     return NepProblem(
         n1=instance.dim,
         n2=instance.dim,

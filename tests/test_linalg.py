@@ -15,6 +15,7 @@ from nepsolve import (
     DimensionMismatch,
     ShiftOverflow,
     SingularMatrixError,
+    SpdSurrogate,
     assemble_block_system,
     lu_solve,
     modified_cholesky,
@@ -193,6 +194,143 @@ def test_modified_cholesky_rejects_asymmetric():
 def test_modified_cholesky_shift_overflow():
     with pytest.raises(ShiftOverflow):
         modified_cholesky(np.array([[-1e13]]), floor=1e-8)
+
+
+@pytest.mark.parametrize("H", [
+    [[np.inf, 0.0], [0.0, 1.0]],  # potrf factors it: once an "SPD" surrogate with shift 0
+    [[np.nan]],  # once some 67 failed potrf calls and then ShiftOverflow
+    [[1.0, np.inf], [np.inf, 1.0]],
+    [[1.0, np.nan], [0.0, 1.0]],  # NaN also hid the asymmetry
+], ids=["inf-diagonal", "nan", "inf-off-diagonal", "nan-asymmetric"])
+def test_modified_cholesky_rejects_non_finite(monkeypatch, H):
+    potrf_calls = []
+    real = linalg_mod.lapack
+    monkeypatch.setattr(linalg_mod, "lapack", types.SimpleNamespace(
+        dgetrf=real.dgetrf, dgetrs=real.dgetrs,
+        dpotrf=lambda *args, **kwargs: potrf_calls.append(1) or real.dpotrf(*args, **kwargs),
+    ))
+    with pytest.raises(ValueError, match="finite"):
+        modified_cholesky(np.array(H), floor=1e-8)
+    assert potrf_calls == []
+
+
+# ---------------------------------------------------------------------------
+# the boundary contract: what the kernels accept and what they reject
+# ---------------------------------------------------------------------------
+
+_A = np.array([[2.0, 1.0], [1.0, 3.0]])
+_B = np.array([1.0, 2.0])
+_M = np.array([[0.5, -1.0], [0.25, 0.0]])
+
+#: kernel, arguments in a form the kernel converts, and the same arguments
+#: as float64 arrays of the dimension the kernel works in
+ACCEPTED = {
+    "lu_solve-lists": (lu_solve, ([[2, 1], [1, 3]], [1, 2]), (_A, _B)),
+    "lu_solve-int-arrays": (lu_solve, (np.array([[2, 1], [1, 3]]), np.array([1, 2])), (_A, _B)),
+    "lu_solve-float32": (lu_solve, (_A.astype(np.float32), _B.astype(np.float32)), (_A, _B)),
+    "lu_solve-0d": (lu_solve, (np.float64(4.0), 2), (np.array([[4.0]]), np.array([2.0]))),
+    "lu_solve-1d": (lu_solve, (np.array([4.0]), np.array([2.0])), (np.array([[4.0]]), np.array([2.0]))),
+    "lu_solve-fortran-order": (lu_solve, (np.asfortranarray(_A), _B), (_A, _B)),
+    "lu_solve-strided": (lu_solve, (np.repeat(_A, 2, axis=1)[:, ::2], _B[None, :][0]), (_A, _B)),
+    "lu_solve-non-finite-rhs": (lu_solve, (_A.tolist(), [np.nan, 1.0]), (_A, np.array([np.nan, 1.0]))),
+    "assemble-surrogates": (
+        assemble_block_system,
+        (SpdSurrogate(_A, 0.0), SpdSurrogate(2.0 * _A, 0.0), _M, _M.T, 0.5),
+        (_A, 2.0 * _A, _M, _M.T, 0.5),
+    ),
+    "assemble-lists": (
+        assemble_block_system,
+        (_A.tolist(), [[1, 0], [0, 1]], _M.tolist(), _M.T.tolist(), 1.0),
+        (_A, np.eye(2), _M, _M.T, 1.0),
+    ),
+    "assemble-0d": (
+        assemble_block_system,
+        (2, np.float64(3.0), 1, 0.0, 0.5),
+        tuple(np.array([[v]]) for v in (2.0, 3.0, 1.0, 0.0)) + (0.5,),
+    ),
+    "assemble-1d": (
+        assemble_block_system,
+        (np.array([2.0]), np.array([3.0]), np.array([1.0]), np.array([0.0]), 0.5),
+        tuple(np.array([[v]]) for v in (2.0, 3.0, 1.0, 0.0)) + (0.5,),
+    ),
+    "assemble-non-finite": (
+        assemble_block_system,
+        (_A.tolist(), _A, [[np.nan, 0.0], [np.inf, 1.0]], _M, 0.5),
+        (_A, _A, np.array([[np.nan, 0.0], [np.inf, 1.0]]), _M, 0.5),
+    ),
+    "modified_cholesky-lists": (modified_cholesky, ([[2, 1], [1, 3]], 1e-8), (_A, 1e-8)),
+    "modified_cholesky-int-array": (modified_cholesky, (np.array([[0, 0], [0, 0]]), 1e-8), (np.zeros((2, 2)), 1e-8)),
+    "modified_cholesky-0d": (modified_cholesky, (-2, 1e-8), (np.array([[-2.0]]), 1e-8)),
+    "modified_cholesky-1d": (modified_cholesky, (np.array([5.0]), 1e-8), (np.array([[5.0]]), 1e-8)),
+    "modified_cholesky-fortran-order": (modified_cholesky, (np.asfortranarray(_A), 1e-8), (_A, 1e-8)),
+}
+
+
+def _same_result(a, b):
+    if isinstance(a, SpdSurrogate):
+        return _same_result(a.matrix, b.matrix) and a.shift == b.shift
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", sorted(ACCEPTED))
+def test_kernels_accept_what_they_convert(case):
+    kernel, args, float_args = ACCEPTED[case]
+    originals = [np.array(a, copy=True) if isinstance(a, np.ndarray) else a for a in args]
+    got = kernel(*args)
+    assert _same_result(got, kernel(*float_args))
+    for a, original in zip(args, originals):
+        if isinstance(a, np.ndarray):
+            assert np.array_equal(a, original, equal_nan=True)
+
+
+def test_kernel_results_on_converted_arguments():
+    # the values behind some of the accepted cases
+    assert np.array_equal(lu_solve(np.float64(4.0), 2), [0.5])
+    assert np.array_equal(
+        assemble_block_system(2, np.float64(3.0), 1, 0.0, 0.5), [[2.0, 0.5], [0.0, 3.0]]
+    )
+    out = modified_cholesky(-2, 1e-8)
+    assert out.matrix.shape == (1, 1) and out.shift > 2.0
+    x = lu_solve(_A.tolist(), [np.nan, 1.0])
+    assert np.isnan(x).all()
+
+
+#: kernel, arguments, the exception they raise
+REJECTED = {
+    "lu_solve-non-square": (lu_solve, (np.ones((2, 3)), np.ones(2)), DimensionMismatch),
+    "lu_solve-1d-row": (lu_solve, (np.ones(2), np.ones(2)), DimensionMismatch),
+    "lu_solve-3d": (lu_solve, (np.ones((2, 2, 2)), np.ones(2)), DimensionMismatch),
+    "lu_solve-rhs-length": (lu_solve, (_A, np.ones(3)), DimensionMismatch),
+    "lu_solve-rhs-column": (lu_solve, (_A, np.ones((2, 1))), DimensionMismatch),
+    "lu_solve-nan": (lu_solve, ([[1.0, np.nan], [0.0, 1.0]], _B), SingularMatrixError),
+    "lu_solve-inf": (lu_solve, (np.diag([np.inf, 1.0]), _B), SingularMatrixError),
+    "lu_solve-singular": (lu_solve, (np.ones((2, 2), dtype=int), _B), SingularMatrixError),
+    "assemble-non-square": (
+        assemble_block_system, (np.ones((2, 3)), _A, _M, _M, 1.0), DimensionMismatch,
+    ),
+    "assemble-3d": (
+        assemble_block_system, (np.ones((2, 2, 2)), _A, _M, _M, 1.0), DimensionMismatch,
+    ),
+    "assemble-non-conforming": (
+        assemble_block_system, (_A, np.eye(3), _M, _M, 1.0), DimensionMismatch,
+    ),
+    "assemble-non-conforming-surrogate": (
+        assemble_block_system, (SpdSurrogate(np.eye(3), 0.0), _A, _M, _M, 1.0), DimensionMismatch,
+    ),
+    "modified_cholesky-non-square": (modified_cholesky, (np.ones((2, 3)), 1e-8), DimensionMismatch),
+    "modified_cholesky-1d-row": (modified_cholesky, (np.ones(2), 1e-8), DimensionMismatch),
+    "modified_cholesky-asymmetric": (modified_cholesky, ([[1, 2], [0, 1]], 1e-8), ValueError),
+    "modified_cholesky-floor": (modified_cholesky, (_A, 0.0), ValueError),
+    "modified_cholesky-nan": (modified_cholesky, ([[np.nan]], 1e-8), ValueError),
+    "modified_cholesky-inf": (modified_cholesky, (np.diag([np.inf, 1.0]), 1e-8), ValueError),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_kernels_reject_at_the_boundary(case):
+    kernel, args, error = REJECTED[case]
+    with pytest.raises(error):
+        kernel(*args)
 
 
 @settings(deadline=None, max_examples=60)

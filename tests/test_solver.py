@@ -22,6 +22,7 @@ from nepsolve import (
     solve_newton_kkt,
 )
 import nepsolve.solver as solver_mod
+import nepsolve.suite as suite_mod
 from nepsolve.core import EPS_PSD
 from nepsolve.linalg import CHOL_PIVOT_SAFETY, _chol_succeeds, assemble_block_system
 from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
@@ -428,6 +429,45 @@ def test_descent_newton_evaluates_each_point_once(monkeypatch):
     assert report.status is SolveStatus.CONVERGED
     assert len(trials) > report.iterations  # some trial was rejected
     assert len(points) == report.iterations + 1 + 3 * len(trials)
+
+
+def test_line_search_trials_share_the_iterates_halves(monkeypatch):
+    # a facility point is built from one half per player (x - z and its
+    # squared lengths); a trial computes only the halves of y1 and y2, and
+    # the next iterate, the accepted trial point, computes none
+    computed = []
+    half = suite_mod._Half
+    monkeypatch.setattr(suite_mod, "_Half", lambda *args: computed.append(1) or half(*args))
+    problem, points = _count_point_evaluations(get_problem("facility2d"))
+    oracle = problem.point
+    in_trial = [False]
+    iterate_halves, trial_halves = [], []
+
+    def point(x1, x2):
+        before = len(computed)
+        evaluation = oracle(x1, x2)
+        if not in_trial[0]:
+            iterate_halves.append(len(computed) - before)
+        return evaluation
+
+    check_inequalities_ = solver_mod.check_inequalities
+
+    def counted(*args, **kwargs):
+        before = len(computed)
+        in_trial[0] = True
+        try:
+            return check_inequalities_(*args, **kwargs)
+        finally:
+            in_trial[0] = False
+            trial_halves.append(len(computed) - before)
+
+    monkeypatch.setattr(solver_mod, "check_inequalities", counted)
+    report = solve(dataclasses.replace(problem, point=point), [2.0, 3.0], [-3.0, 2.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert len(trial_halves) > report.iterations  # some trial was rejected
+    assert trial_halves == [2] * len(trial_halves)
+    assert iterate_halves == [2] + [0] * report.iterations
+    assert len(points) == report.iterations + 1 + 3 * len(trial_halves)
 
 
 def test_newton_kkt_evaluates_each_iterate_once(monkeypatch):

@@ -428,6 +428,27 @@ def test_facility_point_matches_per_oracle_formulas(name):
             assert same_bits(getattr(point, quantity), expected), (name, quantity, x1, x2)
 
 
+@pytest.mark.parametrize("name", sorted(facility_instances()))
+def test_facility_points_sharing_halves_match_per_oracle_formulas(name):
+    # in a line search's order, the iterate and then, per trial, (x1, y2),
+    # (y1, y2) and (y1, x2): points built from a half that an earlier point
+    # computed give the bits of the per-oracle formulas too
+    instance = facility_instances()[name]
+    problem = make_facility(instance)
+    formulas = per_oracle_facility(instance)
+    rng = np.random.default_rng(8)
+    x1, x2 = rng.uniform(-3.0, 3.0, size=(2, instance.dim))
+    for _ in range(50):
+        y1, y2 = rng.uniform(-3.0, 3.0, size=(2, instance.dim))
+        for a, b in ((x1, x2), (x1, y2), (y1, y2), (y1, x2)):
+            point = problem.at(a, b)
+            for quantity in POINT_QUANTITIES:
+                expected = formulas[quantity](a, b)
+                assert same_bits(getattr(point, quantity), expected), (name, quantity, a, b)
+        if rng.uniform() < 0.5:  # the trial is accepted
+            x1, x2 = y1, y2
+
+
 def test_facility_point_at_client_collision_is_non_finite():
     # both facilities on the client (0, 1): every quantity is 0/0 there, and
     # the errstate guards keep that a value rather than a warning
