@@ -229,6 +229,11 @@ class Residual:
     point: object = field(repr=False, compare=False)
 
 
+def _norm(v):
+    """np.linalg.norm of a float vector, bit for bit, without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
 def evaluate_residual(problem, point):
     """First-order optimality residual at a point of the problem.
 
@@ -243,9 +248,7 @@ def evaluate_residual(problem, point):
         raise NonFiniteEvaluation(
             f"gradient oracle returned a non-finite value for {problem.name!r}"
         )
-    g = np.concatenate([g1, g2])
-    norm = math.sqrt(g.dot(g))  # np.linalg.norm(g), without its dispatch
-    return Residual(g1=g1, g2=g2, norm=norm, point=point)
+    return Residual(g1=g1, g2=g2, norm=_norm(np.concatenate([g1, g2])), point=point)
 
 
 class PointKind(Enum):

@@ -97,14 +97,6 @@ def _as_matrix(A):
     return np.atleast_2d(np.asarray(A, dtype=float))
 
 
-def _as_vector(b):
-    """b as a float64 array of at least one dimension; a 1-D float64
-    ndarray is returned as it is."""
-    if type(b) is np.ndarray and b.ndim == 1 and b.dtype == _FLOAT:
-        return b
-    return np.atleast_1d(np.asarray(b, dtype=float))
-
-
 def lu_solve(A, b):
     """Solve A x = b by LU with partial pivoting.
 
@@ -113,7 +105,8 @@ def lu_solve(A, b):
     applies to the block system before using a direction.
     """
     A = _as_matrix(A)
-    b = _as_vector(b)
+    if not (type(b) is np.ndarray and b.ndim == 1 and b.dtype == _FLOAT):
+        b = np.atleast_1d(np.asarray(b, dtype=float))
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
     if b.shape != (A.shape[0],):

@@ -28,7 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import InnerSolveFailure, NonFiniteEvaluation, classify_point, evaluate_residual
+from .core import (
+    InnerSolveFailure,
+    NonFiniteEvaluation,
+    _norm,
+    classify_point,
+    evaluate_residual,
+)
 from .linalg import (
     ShiftOverflow,
     SingularMatrixError,
@@ -215,11 +221,6 @@ def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
     d = lu_solve(system, rhs)
     n1 = H1.matrix.shape[0]
     return Direction(d1=d[:n1], d2=d[n1:])
-
-
-def _norm(v):
-    # what np.linalg.norm computes for a float vector, without its dispatch
-    return math.sqrt(v.dot(v))
 
 
 def check_inequalities(problem, x1, x2, g_norms, direction, t, config):

@@ -3,6 +3,7 @@ facility location model in 1-D and 2-D, and a seeded generator of strictly
 convex quadratic games."""
 
 from dataclasses import dataclass
+
 import numpy as np
 
 from .core import NepProblem

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -447,6 +450,38 @@ def test_facility_points_sharing_halves_match_per_oracle_formulas(name):
                 assert same_bits(getattr(point, quantity), expected), (name, quantity, a, b)
         if rng.uniform() < 0.5:  # the trial is accepted
             x1, x2 = y1, y2
+
+
+def test_facility_halves_shared_between_threads_stay_paired():
+    # one problem read from more threads than cores, switching often: every
+    # point still gets the halves of its own decisions
+    instance = facility_instances()["facility2d"]
+    problem = make_facility(instance)
+    formulas = per_oracle_facility(instance)
+    # a few decisions, so that the threads keep hitting each other's halves
+    decisions = np.random.default_rng(9).uniform(-3.0, 3.0, size=(6, 2))
+    wrong = []
+
+    def work(seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(300):
+            i, j = rng.integers(len(decisions), size=2)
+            point = problem.at(decisions[i], decisions[j])
+            if not same_bits(point.grad1, formulas["grad1"](decisions[i], decisions[j])):
+                wrong.append((i, j))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 def test_facility_point_at_client_collision_is_non_finite():
