@@ -214,6 +214,23 @@ def test_modified_cholesky_rejects_non_finite(monkeypatch, H):
     assert potrf_calls == []
 
 
+@pytest.mark.parametrize("diagonal", [
+    [2.0], [1e7], [1.0, 2.0], [1.0, 1e7], [1e7, 1.0], [1.0, 1e-12], [1e-12, 1.0],
+    [1.0, 2.0, 3.0], [1.0, 1.0, 1e7], [1.0, 1.0, 1e-12],
+], ids=str)
+def test_cholesky_settles_reads_every_diagonal_entry(diagonal):
+    # blocks of order 1 and 2 read the factor's diagonal and the trace entry
+    # by entry: the smallest pivot and the rounding guard's whole trace count
+    S = np.diag(diagonal)
+    floor = 1e-8
+    L = np.linalg.cholesky(S)
+    expected = (
+        np.diag(L).min() ** 2 >= floor * linalg_mod.CHOL_PIVOT_SAFETY
+        and linalg_mod.CHOL_ROUNDING * len(diagonal) * S.trace() <= floor
+    )
+    assert linalg_mod.cholesky_settles(S, floor) == expected
+
+
 # ---------------------------------------------------------------------------
 # the boundary contract: what the kernels accept and what they reject
 # ---------------------------------------------------------------------------
