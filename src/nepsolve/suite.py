@@ -253,7 +253,8 @@ class _FacilityPoint:
         self._second = None
 
     def _first_order(self):
-        # b u / s of each player's share and the gradient weights 2 b v / s^2
+        # players 1 and 2's share terms b u / s, then their gradient weights
+        # 2 b v / s^2
         if self._first is None:
             h1, h2, s = self._h1, self._h2, self._s
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -262,7 +263,8 @@ class _FacilityPoint:
         return self._first
 
     def _second_order(self):
-        # 8 b v / s^3 of the own blocks and 4 b (u - v) / s^3 of the mixed ones
+        # players 1 and 2's own-block weights 8 b v / s^3, then their
+        # mixed-block weights 4 b (u - v) / s^3
         if self._second is None:
             o, u, v = self._oracle, self._h1.sq, self._h2.sq
             with np.errstate(divide="ignore", invalid="ignore"):
