@@ -28,7 +28,8 @@ def newton_kkt_step(problem, res):
     K = assemble_block_system(point.hess11, point.hess22, point.mixed12, point.mixed21, 1.0)
     if not np.isfinite(K).all():
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
-    d = lu_solve(K, -np.concatenate([res.g1, res.g2]))
+    # K is this call's own, so getrf factors it where it lies
+    d = lu_solve(K, -np.concatenate([res.g1, res.g2]), overwrite_a=True)
     return d[: problem.n1], d[problem.n1 :]
 
 

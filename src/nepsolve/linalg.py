@@ -6,15 +6,18 @@ module scipy.linalg._flapack. That extension is loaded by itself, from
 scipy's package directory: `import scipy.linalg` would pull in scipy's
 array-API layer and with it numpy.f2py, numpy.ma, numpy.testing and
 numpy.random, which cost more than everything else `import nepsolve`
-does, for three functions. What this module adds are the
+does, for four functions. What this module adds are the
 solver-facing policies: a scale-invariant pivot rule for declaring the
 block system singular, a one-Cholesky test (LAPACK's potrf) that settles
 whether eigvalsh would find a symmetric block positive semidefinite, so
 that the surrogate build and the final classification need eigvalsh only
 for a block the test cannot decide, and a doubling diagonal shift, decided
 by the same potrf, that turns an indefinite Hessian into a positive
-definite surrogate. No routine here writes to its arguments, and none
-copies an n x n matrix that it does not need.
+definite surrogate. The block system is assembled in Fortran order, the
+layout LAPACK factors, so getrf can factor it where it lies: `lu_solve`
+with `overwrite_a=True` is the one routine here that may write to an
+argument, and only to a matrix its caller owns. No other routine writes to
+its arguments, and none copies an n x n matrix that it does not need.
 
 The public kernels validate their arguments at the boundary, and each check
 is cheap on what the solvers pass, 2-D float64 arrays: such an array is
@@ -56,7 +59,7 @@ def _load_flapack():
     return module
 
 
-#: scipy's compiled LAPACK wrappers (dgetrf, dgetrs and dpotrf are used)
+#: scipy's compiled LAPACK wrappers (dgetrf, dgetrs, dlange and dpotrf are used)
 lapack = _load_flapack()
 
 
@@ -97,12 +100,27 @@ def _as_matrix(A):
     return np.atleast_2d(np.asarray(A, dtype=float))
 
 
-def lu_solve(A, b):
+def lu_solve(A, b, overwrite_a=False):
     """Solve A x = b by LU with partial pivoting.
 
     Raises SingularMatrixError when any pivot magnitude falls below
     PIVOT_RTOL * ||A||_inf; this is the non-singularity check the iteration
     applies to the block system before using a direction.
+
+    overwrite_a has scipy's meaning: when true, getrf may factor A in place,
+    which it does for a Fortran-ordered float64 A, and A's contents are then
+    undefined. By default no argument is written.
+
+    ||A||_inf is LAPACK's dlange, taken before getrf and read from A where
+    it lies (the infinity norm of a Fortran-ordered A, the 1-norm of the
+    transpose of a C-ordered one), without an n x n abs(A). dlange sums
+    each row sequentially, so for n < 8 the norm has the bits of numpy's
+    np.abs(A).sum(axis=1).max(); for larger n numpy sums pairwise, and the
+    two can differ by about 2n eps relative. The threshold PIVOT_RTOL *
+    ||A||_inf then moves by at most about 2n eps * PIVOT_RTOL * ||A||_inf,
+    twelve orders of magnitude below the n eps ||A||_inf to which getrf
+    computes a pivot: only a pivot within that distance of the threshold
+    can be decided differently.
     """
     A = _as_matrix(A)
     if not (type(b) is np.ndarray and b.ndim == 1 and b.dtype == _FLOAT):
@@ -115,11 +133,14 @@ def lu_solve(A, b):
         raise SingularMatrixError("matrix contains non-finite entries")
     if A.size == 0:
         return np.empty(0)  # LAPACK rejects the empty system
-    # getrf and getrs work on copies (overwrite_a/overwrite_b default to
-    # off); an exactly zero pivot comes back through info and fails the
-    # pivot test below
-    lu, piv, _ = lapack.dgetrf(A)
-    norm_inf = np.abs(A).sum(axis=1).max()
+    # taken before getrf, which may overwrite A
+    if A.flags.f_contiguous:
+        norm_inf = lapack.dlange("I", A)
+    else:
+        norm_inf = lapack.dlange("1", A.T)
+    # getrs works on a copy of b; an exactly zero pivot comes back through
+    # info and fails the pivot test below
+    lu, piv, _ = lapack.dgetrf(A, overwrite_a=overwrite_a)
     pivots = np.abs(lu.diagonal())
     if not (pivots > PIVOT_RTOL * norm_inf).all():
         raise SingularMatrixError(
@@ -255,7 +276,9 @@ def assemble_block_system(H1, H2, M1, M2, t):
     """Block matrix [[H1, t*M1], [t*M2, H2]] of the direction system.
 
     H1, H2 may be SpdSurrogate instances or plain arrays; the off-diagonal
-    blocks are scaled by the tentative step length t.
+    blocks are scaled by the tentative step length t. The result is a new
+    Fortran-ordered array, which the caller owns: `lu_solve(...,
+    overwrite_a=True)` factors it without a copy.
     """
     H1 = _block(H1)
     H2 = _block(H2)
@@ -269,7 +292,7 @@ def assemble_block_system(H1, H2, M1, M2, t):
         raise DimensionMismatch(
             f"mixed blocks {M1.shape}, {M2.shape} do not conform to ({n1},{n2})"
         )
-    out = np.empty((n1 + n2, n1 + n2))
+    out = np.empty((n1 + n2, n1 + n2), order="F")
     out[:n1, :n1] = H1
     np.multiply(t, M1, out=out[:n1, n1:])
     np.multiply(t, M2, out=out[n1:, :n1])

@@ -218,7 +218,8 @@ def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
     """
     M1, M2 = safeguard_mixed_blocks(*g_norms, t, config, mixed1, mixed2)
     system = assemble_block_system(H1, H2, M1, M2, t)
-    d = lu_solve(system, rhs)
+    # the system is this call's own, so getrf factors it where it lies
+    d = lu_solve(system, rhs, overwrite_a=True)
     n1 = H1.matrix.shape[0]
     return Direction(d1=d[:n1], d2=d[n1:])
 

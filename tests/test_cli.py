@@ -156,8 +156,8 @@ def test_bench_tracer_hooks_count_and_restore(monkeypatch):
             x1, x2 = np.full(problem.n1, -1.0), np.full(problem.n2, 1.0)
             for run in (solve, solve_newton_kkt, solve_exact_jacobi):
                 assert run(problem, x1, x2).status.value == "converged"
-    for key in ("solver.direction", "linalg.chol", "core.classify",
-                "baselines.kkt_step", "baselines.jacobi_step"):
+    for key in ("solver.direction", "linalg.chol", "linalg.lu", "linalg.assemble",
+                "core.classify", "baselines.kkt_step", "baselines.jacobi_step"):
         assert tracer.calls[key] > 0, key
     assert all(getattr(mod, name) is fn for (mod, name), fn in zip(patched, originals))
 

@@ -47,29 +47,35 @@ def test_lu_zero_matrix_raises():
 @pytest.mark.parametrize("n", [2, 4, 8, 40, 300])
 def test_lu_matches_scipy_lu_factor_and_lu_solve(monkeypatch, n):
     # lu_solve calls getrf/getrs itself; factors and solution must be the
-    # bits scipy.linalg.lu_factor/lu_solve give
+    # bits scipy.linalg.lu_factor/lu_solve give, in either layout of A and
+    # whether or not getrf may factor A in place
     factors = []
     real = linalg_mod.lapack
 
-    def dgetrf(a):
-        out = real.dgetrf(a)
+    def dgetrf(a, **kwargs):
+        out = real.dgetrf(a, **kwargs)
         factors.append(out)
         return out
 
     monkeypatch.setattr(
         linalg_mod, "lapack",
-        types.SimpleNamespace(dgetrf=dgetrf, dgetrs=real.dgetrs, dpotrf=real.dpotrf),
+        types.SimpleNamespace(
+            dgetrf=dgetrf, dgetrs=real.dgetrs, dlange=real.dlange, dpotrf=real.dpotrf,
+        ),
     )
     rng = np.random.default_rng(n)
-    for _ in range(5):
-        A = rng.standard_normal((n, n))
-        b = rng.standard_normal(n)
-        x = lu_solve(A, b)
-        lu, piv = scipy.linalg.lu_factor(A)
-        assert np.array_equal(factors[-1][0].view(np.uint64), lu.view(np.uint64))
-        assert np.array_equal(factors[-1][1], piv)
-        expected = scipy.linalg.lu_solve((lu, piv), b)
-        assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+    for order, overwrite_a in (("C", False), ("F", False), ("C", True), ("F", True)):
+        for _ in range(5):
+            A = np.asarray(rng.standard_normal((n, n)), order=order)
+            b = rng.standard_normal(n)
+            lu, piv = scipy.linalg.lu_factor(A)
+            x = lu_solve(A, b, overwrite_a=overwrite_a)
+            assert np.array_equal(factors[-1][0].view(np.uint64), lu.view(np.uint64))
+            assert np.array_equal(factors[-1][1], piv)
+            expected = scipy.linalg.lu_solve((lu, piv), b)
+            assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
+            # getrf factors in place only a Fortran-ordered A it may overwrite
+            assert np.shares_memory(factors[-1][0], A) == (overwrite_a and order == "F")
 
 
 def _fresh_python(code):
@@ -100,21 +106,88 @@ def test_lapack_routines_are_scipys(order):
     # scipy.linalg.lapack re-exports
     same = _fresh_python(
         f"{order}; print(n.lapack is sys.modules['scipy.linalg._flapack'] and all("
-        "getattr(n.lapack, f) is getattr(s.lapack, f) for f in ('dgetrf', 'dgetrs', 'dpotrf')))"
+        "getattr(n.lapack, f) is getattr(s.lapack, f) for f in ('dgetrf', 'dgetrs', 'dlange', 'dpotrf')))"
     )
     assert same == "True"
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
+def _laid_out(M, layout):
+    """A new array equal to M: C-ordered, Fortran-ordered or every other
+    column of a wider C-ordered array."""
+    if layout == "strided":
+        return np.repeat(M, 2, axis=1)[:, ::2]
+    return np.array(M, order=layout)
+
+
+@pytest.mark.parametrize("order", ["C", "F", "strided"])
 def test_lu_leaves_arguments_unmodified(order):
     rng = np.random.default_rng(5)
-    A = np.asarray(rng.standard_normal((40, 40)), order=order)
+    M = rng.standard_normal((40, 40))
+    A = _laid_out(M, order)
     b = rng.standard_normal(40)
-    A0, b0 = A.copy(order="A"), b.copy()
+    memory = A if A.base is None else A.base
+    A0, b0 = memory.tobytes(), b.tobytes()
     x = lu_solve(A, b)
-    assert np.array_equal(A, A0) and A.flags[f"{order}_CONTIGUOUS"]
-    assert np.array_equal(b, b0)
+    assert memory.tobytes() == A0 and b.tobytes() == b0
+    if order != "strided":
+        assert A.flags[f"{order}_CONTIGUOUS"]
     assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(A) * np.linalg.norm(x)
+    # factoring a copy in place gives the same bits
+    assert lu_solve(_laid_out(M, order), b, overwrite_a=True).tobytes() == x.tobytes()
+    assert b.tobytes() == b0
+
+
+@pytest.mark.parametrize("n", [2, 4, 40, 300])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pivot_decision_matches_the_row_sum_norm(order, n):
+    # getrf keeps the pivots of an upper triangular matrix in place, so its
+    # smallest pivot is the last diagonal entry; set just above or just below
+    # PIVOT_RTOL * ||A||_inf, lu_solve must decide as the row sums of abs(A)
+    # do, whichever way dlange rounds the norm
+    rng = np.random.default_rng(n)
+    U = np.triu(rng.uniform(-1.0, 1.0, (n, n)), 1) + np.diag(rng.uniform(1.0, 2.0, n))
+    U[-1, -1] = 0.0  # the last row holds the small pivot alone, away from the norm
+    b = rng.standard_normal(n)
+    for rel in (1 + 1e-9, 1 - 1e-9):
+        A = U.copy()
+        A[-1, -1] = linalg_mod.PIVOT_RTOL * np.abs(U).sum(axis=1).max() * rel
+        A = np.array(A, order=order)
+        norm = np.abs(A).sum(axis=1).max()
+        accepted = (np.abs(np.diag(A)) > linalg_mod.PIVOT_RTOL * norm).all()
+        assert accepted == (rel > 1)
+        for overwrite_a in (False, True):
+            if accepted:
+                lu_solve(A.copy(order="A"), b, overwrite_a=overwrite_a)
+            else:
+                with pytest.raises(SingularMatrixError):
+                    lu_solve(A.copy(order="A"), b, overwrite_a=overwrite_a)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pivot_norm_is_read_before_getrf_overwrites_a(order):
+    # ||A||_inf is 3 and ||LU||_inf 2: a last pivot of 2.5 * PIVOT_RTOL
+    # fails the test against A's norm, which must be read before getrf
+    # writes its factors over A
+    pivot = 2.5 * linalg_mod.PIVOT_RTOL
+    A = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 1.0], [0.0, 0.0, pivot]], order=order)
+    lu, _, _ = linalg_mod.lapack.dgetrf(A)
+    assert np.abs(lu).sum(axis=1).max() == 2.0 and np.diag(lu)[-1] == pivot
+    for overwrite_a in (False, True):
+        with pytest.raises(SingularMatrixError):
+            lu_solve(A.copy(order="A"), np.ones(3), overwrite_a=overwrite_a)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_dlange_norm_has_numpys_bits_below_order_8(n):
+    # both sum each row sequentially while numpy's pairwise sum has fewer
+    # than 8 terms
+    rng = np.random.default_rng(n)
+    for _ in range(50):
+        A = rng.standard_normal((n, n)) * rng.uniform(0.1, 1e3, (n, n))
+        expected = np.float64(np.abs(A).sum(axis=1).max()).tobytes()
+        lapack = linalg_mod.lapack
+        assert np.float64(lapack.dlange("1", A.T)).tobytes() == expected
+        assert np.float64(lapack.dlange("I", np.asfortranarray(A))).tobytes() == expected
 
 
 def test_lu_exactly_singular_raises_without_warning():
@@ -363,6 +436,15 @@ def test_modified_cholesky_diagonal_shift_only(seed, n):
     assert np.linalg.norm(diff, 2) == pytest.approx(out.shift, rel=1e-12, abs=1e-15)
     off_diag = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off_diag)) == 0.0
+
+
+def test_assemble_returns_a_new_fortran_ordered_np_block():
+    H1, H2, M1, M2, _ = _random_blocks(7, 3, 5)
+    for t in (1.0, 0.5):
+        out = assemble_block_system(H1, H2, M1, M2, t)
+        assert out.flags.f_contiguous
+        assert out.tobytes() == np.block([[H1, t * M1], [t * M2, H2]]).tobytes()
+        assert not any(np.shares_memory(out, block) for block in (H1, H2, M1, M2))
 
 
 def test_assemble_counterexample_display():

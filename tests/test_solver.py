@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from nepsolve import (
     NepProblem,
@@ -24,7 +25,13 @@ from nepsolve import (
 import nepsolve.solver as solver_mod
 import nepsolve.suite as suite_mod
 from nepsolve.core import EPS_PSD
-from nepsolve.linalg import CHOL_PIVOT_SAFETY, _chol_succeeds, assemble_block_system
+from nepsolve.baselines import newton_kkt_step
+from nepsolve.linalg import (
+    CHOL_PIVOT_SAFETY,
+    SpdSurrogate,
+    _chol_succeeds,
+    assemble_block_system,
+)
 from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
 
 
@@ -676,3 +683,82 @@ def test_classification_matches_eigvalsh_rule(kind, n):
         # blocks that pass the Cholesky test while eigvalsh finds an
         # eigenvalue below -EPS_PSD: the rounding guard sends them to eigvalsh
         assert cholesky_passed_eigvalsh_negative > 0
+
+
+# ---------------------------------------------------------------------------
+# the block system is the step's own: getrf factors it in place
+# ---------------------------------------------------------------------------
+
+
+def _unchanged_by(call, arrays):
+    """Whether call() leaves the bytes of every array as they were."""
+    before = [a.tobytes() for a in arrays]
+    call()
+    return [a.tobytes() for a in arrays] == before
+
+
+@pytest.mark.parametrize("problem_id", ["quadratic:3:2x2", "facility2d", "quadratic:5:150x150"])
+def test_direction_and_newton_step_leave_their_blocks_unchanged(problem_id):
+    # the quadratic games' points hand out the problem's own matrices
+    problem = get_problem(problem_id)
+    res = residual_at(problem, np.linspace(-1.0, 1.0, problem.n1) + 0.3,
+                      np.linspace(1.0, -1.0, problem.n2) - 0.2)
+    point, config = res.point, SolverConfig()
+    H1, H2 = build_surrogates(point, config)
+    blocks = (point.hess11, point.hess22, point.mixed12, point.mixed21)
+    arrays = (H1.matrix, H2.matrix, *blocks, res.g1, res.g2)
+
+    def steps():
+        for t in (1.0, 0.5):
+            direction_at(res, H1, H2, t, config)
+        newton_kkt_step(problem, res)
+
+    assert _unchanged_by(steps, arrays)
+    fresh = (point.hess11, point.hess22, point.mixed12, point.mixed21)
+    assert [a.tobytes() for a in fresh] == [a.tobytes() for a in blocks]
+
+
+def test_an_assembly_that_hands_back_h1_is_caught(monkeypatch):
+    # with an empty second player the block system equals H1; an assembly
+    # that handed back H1's own memory would let getrf factor the surrogate
+    rng = np.random.default_rng(11)
+    raw = rng.standard_normal((4, 4))
+    H1 = modified_cholesky(raw @ raw.T + np.eye(4), CHOL_FLOOR)
+    H2 = SpdSurrogate(np.zeros((0, 0)), 0.0)
+    mixed1, mixed2 = np.zeros((4, 0)), np.zeros((0, 4))
+    rhs = rng.standard_normal(4)
+    config = SolverConfig()
+
+    def direction():
+        compute_direction(H1, H2, mixed1, mixed2, (1.0, 0.0), rhs, 1.0, config)
+
+    arrays = (H1.matrix, H2.matrix, mixed1, mixed2, rhs)
+    assert _unchanged_by(direction, arrays)
+    real = solver_mod.assemble_block_system
+
+    def aliasing(H1, H2, M1, M2, t):
+        # H1 is symmetric, so its transpose is a Fortran-ordered view of it
+        return H1.matrix.T if H2.matrix.size == 0 else real(H1, H2, M1, M2, t)
+
+    monkeypatch.setattr(solver_mod, "assemble_block_system", aliasing)
+    assert not _unchanged_by(direction, arrays)
+
+
+def test_dense_direction_and_newton_step_have_scipys_bits():
+    # both sides factor the same matrix with the same LAPACK in this
+    # process, so the bits agree at any BLAS thread count
+    problem = get_problem("quadratic:5:150x150")
+    res = residual_at(problem, np.zeros(problem.n1), np.zeros(problem.n2))
+    point, config = res.point, SolverConfig()
+    rhs = -np.concatenate([res.g1, res.g2])
+    H1, H2 = build_surrogates(point, config)
+    g_norms = gradient_norms(res.g1, res.g2)
+    for t in (1.0, 0.5):
+        d = direction_at(res, H1, H2, t, config)
+        M1, M2 = safeguard_mixed_blocks(*g_norms, t, config, point.mixed12, point.mixed21)
+        system = np.block([[H1.matrix, t * M1], [t * M2, H2.matrix]])
+        expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), rhs)
+        assert np.concatenate([d.d1, d.d2]).tobytes() == expected.tobytes()
+    K = np.block([[point.hess11, point.mixed12], [point.mixed21, point.hess22]])
+    expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(K), rhs)
+    assert np.concatenate(newton_kkt_step(problem, res)).tobytes() == expected.tobytes()
