@@ -24,7 +24,6 @@ from .linalg import (
     spectral_bounds_sym,
 )
 from .solver import (
-    Direction,
     IterateRecord,
     LineSearchCertificate,
     SolveReport,

@@ -15,6 +15,9 @@ from .solver import _drive
 #: gradient-norm tolerance of the per-player stationarity solves of exact-jacobi
 INNER_TOL = 1e-10
 
+#: Newton iterations a per-player stationarity solve may take
+INNER_MAX_ITER = 100
+
 
 def newton_kkt_step(problem, res):
     """Unit Newton step for the stacked first-order system at the iterate
@@ -22,18 +25,16 @@ def newton_kkt_step(problem, res):
 
     Uses the true (possibly indefinite) per-player Hessian blocks, read from
     the residual's point; raises SingularMatrixError when the full matrix
-    fails the pivot test.
+    fails the pivot test, and NonFiniteEvaluation when it is not finite.
     """
     point = res.point
     K = assemble_block_system(point.hess11, point.hess22, point.mixed12, point.mixed21, 1.0)
-    if not np.isfinite(K).all():
-        raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     # K is this call's own, so getrf factors it where it lies
     d = lu_solve(K, -np.concatenate([res.g1, res.g2]), overwrite_a=True)
     return d[: problem.n1], d[problem.n1 :]
 
 
-def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
+def _inner_newton_root(at, grad, hess, z0, point, g):
     """Damped Newton root find for one player's stationarity equation.
 
     at(z) evaluates the problem with the player's decision at z; point is
@@ -43,14 +44,17 @@ def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
     iterate). Backtracks on the squared gradient norm. A stalled line
     search whose Newton step is below sqrt(eps) relative to z returns z:
     the gradient is then at its round-off level, which at large |z|
-    exceeds tol. Raises InnerSolveFailure when the per-player Hessian block
-    is singular (the iteration is undefined) or progress stalls.
+    exceeds INNER_TOL. Stops at gradient norm INNER_TOL, within
+    INNER_MAX_ITER Newton steps. Raises InnerSolveFailure when the
+    per-player Hessian block is singular (the iteration is undefined) or
+    progress stalls, and NonFiniteEvaluation, through lu_solve, when the
+    block is not finite.
     """
     z = np.asarray(z0, dtype=float).copy()
-    for _ in range(max_iter):
+    for _ in range(INNER_MAX_ITER):
         if not np.isfinite(g).all():
             raise NonFiniteEvaluation("non-finite gradient in inner solve")
-        if np.linalg.norm(g) <= tol:
+        if np.linalg.norm(g) <= INNER_TOL:
             return z
         try:
             p = lu_solve(hess(point), -g)
@@ -73,7 +77,7 @@ def _inner_newton_root(at, grad, hess, z0, point, g, tol, max_iter=100):
                 return z
             raise InnerSolveFailure("inner line search stalled")
         z, point, g = z_trial, trial, g_trial
-    if np.linalg.norm(g) <= tol:
+    if np.linalg.norm(g) <= INNER_TOL:
         return z
     raise InnerSolveFailure("inner Newton did not converge")
 
@@ -90,12 +94,8 @@ def exact_jacobi_step(problem, x1, x2, res):
     point = res.point
     grad1, hess11 = attrgetter("grad1"), attrgetter("hess11")
     grad2, hess22 = attrgetter("grad2"), attrgetter("hess22")
-    x1_new = _inner_newton_root(
-        lambda z: problem._at(z, x2), grad1, hess11, x1, point, res.g1, INNER_TOL
-    )
-    x2_new = _inner_newton_root(
-        lambda z: problem._at(x1, z), grad2, hess22, x2, point, res.g2, INNER_TOL
-    )
+    x1_new = _inner_newton_root(lambda z: problem._at(z, x2), grad1, hess11, x1, point, res.g1)
+    x2_new = _inner_newton_root(lambda z: problem._at(x1, z), grad2, hess22, x2, point, res.g2)
     return x1_new, x2_new
 
 

@@ -19,15 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import _as_matrix, _symmetric_part, cholesky_settles, spectral_bounds_sym
-
-#: PSD tolerance of the final classification: a Hessian block counts as
-#: positive semidefinite when its smallest eigenvalue is at least -EPS_PSD
-EPS_PSD = 1e-8
-
-
-class NonFiniteEvaluation(RuntimeError):
-    """An oracle produced NaN/Inf, or the objective is undefined at the point."""
+from .linalg import NonFiniteEvaluation, _as_matrix, _symmetric_part, psd_test, spectral_bounds_sym
 
 
 class InnerSolveFailure(RuntimeError):
@@ -301,11 +293,12 @@ def classify_point(res, tol):
     stationary / neither.
 
     A point is an equilibrium candidate when the residual norm is within tol
-    and both per-player Hessian blocks are positive semidefinite up to
-    EPS_PSD (second-order necessary conditions): eigvalsh puts neither
-    block's smallest eigenvalue below -EPS_PSD. One Cholesky settles most
-    blocks (see linalg.cholesky_settles); eigvalsh decides the rest. The
-    Hessian blocks are read from the residual's point.
+    and both per-player Hessian blocks pass linalg.psd_test, the second-order
+    necessary condition up to PSD_FLOOR: eigvalsh puts neither block's
+    smallest eigenvalue below -PSD_FLOOR. It is the test the surrogate build
+    asks at every iterate, so at an equilibrium candidate neither surrogate
+    would fall back to the identity. The Hessian blocks are read from the
+    residual's point.
     """
     # negated so that NaN fails it too
     if not tol > 0:
@@ -316,10 +309,8 @@ def classify_point(res, tol):
     min_eigs = [None, None]
 
     def psd(i):
-        if cholesky_settles(_symmetric_part(blocks[i]), EPS_PSD):
-            return True
-        min_eigs[i] = spectral_bounds_sym(blocks[i])[0]
-        return min_eigs[i] >= -EPS_PSD
+        passed, min_eigs[i] = psd_test(_symmetric_part(blocks[i]))
+        return passed
 
     if res.norm > tol:
         kind = PointKind.NON_STATIONARY

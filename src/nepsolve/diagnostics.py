@@ -24,6 +24,11 @@ _SLACK = 1e-9
 _ABS_SLACK = 1e-12
 
 
+def _beyond(value, lo=-np.inf, hi=np.inf):
+    """Whether value lies below lo or above hi by more than the slack."""
+    return value < lo * (1.0 - _SLACK) - _ABS_SLACK or value > hi * (1.0 + _SLACK) + _ABS_SLACK
+
+
 @dataclass
 class AssumptionEstimates:
     """Estimated constants of the smoothness/boundedness assumptions.
@@ -248,10 +253,12 @@ def verify_lemma_bounds(run, est):
         M1, M2 = safeguard_mixed_blocks(g1n, g2n, t, config, mixed1, mixed2)
         Htk = assemble_block_system(H1, H2, M1, M2, t)
 
-        # norm bound on the block matrix holds for every t in (0, 1]
+        # norm bound on the block matrix holds for every t in (0, 1]; the
+        # largest singular value is np.linalg.norm(Htk, 2), bit for bit
         mu_max = np.sqrt(lam_hi**2 + 4.0 * lam_hi * c_h_point + c_h_point**2)
-        hnorm = np.linalg.norm(Htk, 2)
-        if hnorm > mu_max * (1.0 + _SLACK) + _ABS_SLACK:
+        sigma = np.linalg.svd(Htk, compute_uv=False)
+        hnorm = sigma[0]
+        if _beyond(hnorm, hi=mu_max):
             violations.append(
                 LemmaViolation(rec.k, "block-norms", f"||H_t|| = {hnorm:.6e} > {mu_max:.6e}", hnorm - mu_max)
             )
@@ -259,9 +266,9 @@ def verify_lemma_bounds(run, est):
         t_small = lam_lo**2 / (8.0 * lam_hi * c_h_point) if c_h_point > 0 else np.inf
         if t <= t_small:
             checked["block-norms"] += 1
-            sigma_min = np.linalg.svd(Htk, compute_uv=False)[-1]
+            sigma_min = sigma[-1]
             floor = lam_lo / np.sqrt(2.0)
-            if sigma_min < floor * (1.0 - _SLACK) - _ABS_SLACK:
+            if _beyond(sigma_min, lo=floor):
                 violations.append(
                     LemmaViolation(
                         rec.k,
@@ -272,7 +279,7 @@ def verify_lemma_bounds(run, est):
                 )
             checked["direction-bound"] += 1
             dnorm = np.linalg.norm(d)
-            if dnorm > c_k * (1.0 + _SLACK) + _ABS_SLACK:
+            if _beyond(dnorm, hi=c_k):
                 violations.append(
                     LemmaViolation(
                         rec.k,
@@ -302,7 +309,7 @@ def verify_lemma_bounds(run, est):
                 hd = float(np.linalg.norm(H_i.matrix @ d_i))
                 lo_b = 0.5 * gn
                 hi_b = 1.5 * gn
-                if hd < lo_b * (1.0 - _SLACK) - _ABS_SLACK or hd > hi_b * (1.0 + _SLACK) + _ABS_SLACK:
+                if _beyond(hd, lo_b, hi_b):
                     violations.append(
                         LemmaViolation(
                             rec.k,
@@ -340,7 +347,7 @@ def verify_lemma_bounds(run, est):
                 dn = float(np.linalg.norm(d_i))
                 gamma_lo = 2.0 / (3.0 * lam_hi)
                 beta_hi = 2.0 / lam_lo
-                if dn < gamma_lo * pn * (1.0 - _SLACK) - _ABS_SLACK:
+                if _beyond(dn, lo=gamma_lo * pn):
                     violations.append(
                         LemmaViolation(
                             rec.k,
@@ -349,7 +356,7 @@ def verify_lemma_bounds(run, est):
                             gamma_lo * pn - dn,
                         )
                     )
-                if dn > beta_hi * pn * (1.0 + _SLACK) + _ABS_SLACK:
+                if _beyond(dn, hi=beta_hi * pn):
                     violations.append(
                         LemmaViolation(
                             rec.k,

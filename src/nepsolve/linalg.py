@@ -6,17 +6,20 @@ module scipy.linalg._flapack. That extension is loaded by itself, from
 scipy's package directory: `import scipy.linalg` would pull in scipy's
 array-API layer and with it numpy.f2py, numpy.ma, numpy.testing and
 numpy.random, which cost more than everything else `import nepsolve`
-does, for four functions. What this module adds are the
-solver-facing policies: a scale-invariant pivot rule for declaring the
-block system singular, a one-Cholesky test (LAPACK's potrf) that settles
-whether eigvalsh would find a symmetric block positive semidefinite, so
-that the surrogate build and the final classification need eigvalsh only
-for a block the test cannot decide, and a doubling diagonal shift, decided
-by the same potrf, that turns an indefinite Hessian into a positive
-definite surrogate. The block system is assembled in Fortran order, the
-layout LAPACK factors, so getrf can factor it where it lies: `lu_solve`
-with `overwrite_a=True` is the one routine here that may write to an
-argument, and only to a matrix its caller owns. No other routine writes to
+does, for four functions.
+
+What this module adds are the solver-facing policies: a scale-invariant
+pivot rule for declaring the block system singular; one positive
+semidefinite floor, PSD_FLOOR, and one test against it, `psd_test`, which
+the surrogate build and the final classification share (one Cholesky,
+LAPACK's potrf, settles most blocks, and eigvalsh decides the rest); and a
+doubling diagonal shift, decided by the same potrf, that turns a Hessian
+block into a positive definite surrogate. A non-finite matrix is rejected
+with NonFiniteEvaluation, the one verdict that every solver reports as
+divergence. The block system is assembled in Fortran order, the layout
+LAPACK factors, so getrf can factor it where it lies: `lu_solve` with
+`overwrite_a=True` is the one routine here that may write to an argument,
+and only to a matrix its caller owns. No other routine writes to
 its arguments, and none copies an n x n matrix that it does not need.
 
 The public kernels validate their arguments at the boundary, and each check
@@ -63,6 +66,10 @@ def _load_flapack():
 lapack = _load_flapack()
 
 
+class NonFiniteEvaluation(RuntimeError):
+    """An oracle produced NaN/Inf, or the objective is undefined at the point."""
+
+
 class SingularMatrixError(RuntimeError):
     """The system matrix failed the relative pivot test."""
 
@@ -78,15 +85,19 @@ class ShiftOverflow(RuntimeError):
 #: relative pivot floor: a pivot below PIVOT_RTOL * ||A||_inf flags A singular
 PIVOT_RTOL = 1e-12
 
-#: modified-Cholesky pivots must stay above floor * CHOL_PIVOT_SAFETY
+#: positive semidefinite floor of a Hessian block: psd_test accepts a block
+#: whose smallest eigenvalue is at least -PSD_FLOOR, and modified_cholesky
+#: shifts in multiples of it
+PSD_FLOOR = 1e-8
+
+#: Cholesky pivots must stay above PSD_FLOOR * CHOL_PIVOT_SAFETY
 CHOL_PIVOT_SAFETY = 1e-2
 
 #: cap on the diagonal shift before giving up
 MAX_SHIFT = 1e12
 
-#: a block of order n that passes the Cholesky test settles the eigvalsh
-#: rule at floor only while CHOL_ROUNDING * n * trace <= floor (see
-#: cholesky_settles)
+#: a block of order n that passes the Cholesky test settles psd_test only
+#: while CHOL_ROUNDING * n * trace <= PSD_FLOOR
 CHOL_ROUNDING = 16 * np.finfo(float).eps
 
 _FLOAT = np.dtype(float)
@@ -105,7 +116,8 @@ def lu_solve(A, b, overwrite_a=False):
 
     Raises SingularMatrixError when any pivot magnitude falls below
     PIVOT_RTOL * ||A||_inf; this is the non-singularity check the iteration
-    applies to the block system before using a direction.
+    applies to the block system before using a direction. Raises
+    NonFiniteEvaluation for a non-finite A.
 
     overwrite_a has scipy's meaning: when true, getrf may factor A in place,
     which it does for a Fortran-ordered float64 A, and A's contents are then
@@ -130,7 +142,7 @@ def lu_solve(A, b, overwrite_a=False):
     if b.shape != (A.shape[0],):
         raise DimensionMismatch(f"rhs shape {b.shape} does not match matrix {A.shape}")
     if not np.isfinite(A).all():
-        raise SingularMatrixError("matrix contains non-finite entries")
+        raise NonFiniteEvaluation("matrix contains non-finite entries")
     if A.size == 0:
         return np.empty(0)  # LAPACK rejects the empty system
     # taken before getrf, which may overwrite A
@@ -180,45 +192,44 @@ def _symmetric_part(H):
     return H if symmetric else 0.5 * (H + H.T)
 
 
-def modified_cholesky(H, floor):
+def modified_cholesky(H):
     """Positive definite surrogate of a symmetric H by diagonal shifting.
 
-    Returns H + delta*I with the smallest delta in {0, floor, 2*floor,
-    4*floor, ...} whose Cholesky factorization succeeds with pivots at least
-    floor * CHOL_PIVOT_SAFETY. An already sufficiently positive definite H
-    is returned unchanged (shift 0). Raises ValueError for a non-finite H,
-    which no shift makes positive definite.
+    Returns H + delta*I with the smallest delta in {0, PSD_FLOOR,
+    2*PSD_FLOOR, 4*PSD_FLOOR, ...} whose Cholesky factorization succeeds
+    with pivots at least PSD_FLOOR * CHOL_PIVOT_SAFETY. An already
+    sufficiently positive definite H is returned unchanged (shift 0).
+    Raises NonFiniteEvaluation for a non-finite H, which no shift makes
+    positive definite.
     """
     H = _as_matrix(H)
     if H.shape[0] != H.shape[1]:
         raise DimensionMismatch(f"matrix must be square, got {H.shape}")
-    if floor <= 0:
-        raise ValueError("eigenvalue floor must be positive")
     if not np.isfinite(H).all():
-        raise ValueError("modified_cholesky requires finite entries")
+        raise NonFiniteEvaluation("modified_cholesky requires finite entries")
     S = _symmetric_part(H)
     # a bitwise symmetric H passes the tolerance test by construction
     if S is not H and not _is_symmetric(H):
         raise ValueError("modified_cholesky requires a symmetric matrix")
     H = S
 
-    pivot_floor = floor * CHOL_PIVOT_SAFETY
-    if _chol_succeeds(H, pivot_floor):
+    if _chol_succeeds(H):
         # + 0.0 gives the result its own memory and turns any -0.0 entry
         # into 0.0, as the shifted attempts' H + delta*I does
         return SpdSurrogate(matrix=H + 0.0, shift=0.0)
     eye = np.eye(H.shape[0])
-    delta = floor
+    delta = PSD_FLOOR
     while delta <= MAX_SHIFT:
         shifted = H + delta * eye
-        if _chol_succeeds(shifted, pivot_floor):
+        if _chol_succeeds(shifted):
             return SpdSurrogate(matrix=shifted, shift=delta)
         delta *= 2.0
     raise ShiftOverflow(f"diagonal shift exceeded {MAX_SHIFT:.0e}")
 
 
-def _chol_succeeds(M, pivot_floor):
-    """Whether LAPACK's potrf factors M with pivots at least pivot_floor.
+def _chol_succeeds(M):
+    """Whether LAPACK's potrf factors M with pivots at least PSD_FLOOR *
+    CHOL_PIVOT_SAFETY.
 
     potrf reports a failed factorization through info instead of raising
     (on a 2 x 2 block a raised exception costs several times the
@@ -229,7 +240,7 @@ def _chol_succeeds(M, pivot_floor):
         return False
     # pivots in the LDL^T sense are the squared Cholesky diagonal (positive
     # once potrf succeeds); a block of order at most 2 reads its entries
-    return bool(_diagonal_min(L) ** 2 >= pivot_floor)
+    return bool(_diagonal_min(L) ** 2 >= PSD_FLOOR * CHOL_PIVOT_SAFETY)
 
 
 def _diagonal_min(M):
@@ -250,22 +261,24 @@ def _trace(M):
     return M.trace()
 
 
-def cholesky_settles(S, floor):
-    """Whether one Cholesky proves eigvalsh's smallest eigenvalue of S >= -floor.
+def psd_test(S):
+    """(psd, min_eig): whether S is positive semidefinite up to PSD_FLOOR.
 
-    S is symmetric (a symmetric part, as `_symmetric_part` returns it). The
-    test is potrf with pivots at least floor * CHOL_PIVOT_SAFETY, and it
-    counts only while CHOL_ROUNDING * n * trace(S) <= floor. A successful
-    potrf factors S up to a backward error of order n * eps * trace, and
+    S is finite and symmetric, as `_symmetric_part` returns it. psd is the
+    eigvalsh rule: min_eig, the smallest eigenvalue eigvalsh gives S (the
+    bits of spectral_bounds_sym(S)[0]), is at least -PSD_FLOOR. One
+    Cholesky settles most blocks without eigvalsh, and min_eig is then
+    None: potrf with pivots at least PSD_FLOOR * CHOL_PIVOT_SAFETY, trusted
+    only while CHOL_ROUNDING * n * trace(S) <= PSD_FLOOR. A successful potrf
+    factors S up to a backward error of order n * eps * trace, and
     eigvalsh, backward stable, errs by order n * eps * ||S|| <= n * eps *
-    trace, so below that bound eigvalsh cannot put an eigenvalue of S
-    under -floor; the factor 16 in CHOL_ROUNDING is margin. False means
-    only that the test cannot decide: the caller asks eigvalsh.
+    trace, so below that bound eigvalsh cannot put an eigenvalue of S under
+    -PSD_FLOOR; the factor 16 in CHOL_ROUNDING is margin.
     """
-    return (
-        _chol_succeeds(S, floor * CHOL_PIVOT_SAFETY)
-        and CHOL_ROUNDING * S.shape[0] * _trace(S) <= floor
-    )
+    if _chol_succeeds(S) and CHOL_ROUNDING * S.shape[0] * _trace(S) <= PSD_FLOOR:
+        return True, None
+    min_eig = float(np.linalg.eigvalsh(S)[0])
+    return min_eig >= -PSD_FLOOR, min_eig
 
 
 def _block(h):

@@ -42,9 +42,9 @@ from .linalg import (
     _is_symmetric,
     _symmetric_part,
     assemble_block_system,
-    cholesky_settles,
     lu_solve,
     modified_cholesky,
+    psd_test,
 )
 
 
@@ -53,9 +53,6 @@ T_MIN = 1e-18
 
 #: a player whose gradient norm is at most EPS_STATIONARY counts as stationary
 EPS_STATIONARY = 1e-12
-
-#: positive definite floor of the Hessian surrogates (see modified_cholesky)
-CHOL_FLOOR = 1e-8
 
 
 class SolveStatus(Enum):
@@ -73,8 +70,9 @@ class SolverConfig:
     alpha is the Armijo constant, theta the angle constant, gamma the
     gradient/direction ratio constant, and tau the safeguard threshold: a
     stationary player's mixed block is zeroed only once t <= tau. The
-    safeguards no caller tunes are constants: T_MIN, EPS_STATIONARY and
-    CHOL_FLOOR here, core.EPS_PSD for the final classification.
+    safeguards no caller tunes are constants: T_MIN and EPS_STATIONARY
+    here, and linalg.PSD_FLOOR, the one floor of the Hessian surrogates and
+    of the final classification.
 
     user_h1 and user_h2, given together, made positive definite by
     modified_cholesky, are every iteration's Hessian surrogates; without
@@ -118,12 +116,6 @@ class SolverConfig:
                 raise ValueError(f"{name} has non-finite entries")
             if not _is_symmetric(h):
                 raise ValueError(f"{name} must be symmetric")
-
-
-@dataclass(frozen=True)
-class Direction:
-    d1: np.ndarray
-    d2: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -177,18 +169,15 @@ def safeguard_mixed_blocks(g1_norm, g2_norm, t, config, mixed1, mixed2):
 
 
 def _exact_surrogate(block):
-    # Nearly positive semidefinite blocks get the minimal diagonal shift, so
-    # Newton curvature survives untouched (a null Hessian becomes CHOL_FLOOR*I).
+    # Blocks that pass psd_test get the minimal diagonal shift, so Newton
+    # curvature survives untouched (a null Hessian becomes PSD_FLOOR*I).
     # Blocks with genuine negative curvature fall back to the identity: a
     # barely-shifted indefinite block is nearly singular and produces huge
-    # directions that the line search then has to shrink away. One Cholesky
-    # settles a positive definite block, which modified_cholesky returns
-    # unshifted; eigvalsh runs only for a block that the test cannot decide,
-    # so the decision is the eigvalsh rule's (see cholesky_settles).
+    # directions that the line search then has to shrink away.
     block = _symmetric_part(block)
-    if not cholesky_settles(block, CHOL_FLOOR) and np.linalg.eigvalsh(block)[0] < -CHOL_FLOOR:
+    if not psd_test(block)[0]:
         return SpdSurrogate(np.eye(block.shape[0]), 0.0)
-    return modified_cholesky(block, CHOL_FLOOR)
+    return modified_cholesky(block)
 
 
 def build_surrogates(point, config):
@@ -196,10 +185,7 @@ def build_surrogates(point, config):
     from the config's user_h1/user_h2 when given and otherwise from the
     Hessian blocks of point, the problem's evaluation at the iterate."""
     if config.user_h1 is not None:
-        return (
-            modified_cholesky(config.user_h1, CHOL_FLOOR),
-            modified_cholesky(config.user_h2, CHOL_FLOOR),
-        )
+        return modified_cholesky(config.user_h1), modified_cholesky(config.user_h2)
     h11 = point.hess11
     h22 = point.hess22
     if not (np.isfinite(h11).all() and np.isfinite(h22).all()):
@@ -212,20 +198,21 @@ def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
 
     mixed1/mixed2 are the iterate's mixed blocks, g_norms the gradient
     norms (||g1||, ||g2||) and rhs the right-hand side -[g1; g2]: what
-    depends on the iterate only, computed once for all trials. Raises
-    SingularMatrixError when the assembled matrix fails the pivot test; the
-    iteration then halves t and retries.
+    depends on the iterate only, computed once for all trials. Returns the
+    direction (d1, d2). Raises SingularMatrixError when the assembled
+    matrix fails the pivot test; the iteration then halves t and retries.
     """
     M1, M2 = safeguard_mixed_blocks(*g_norms, t, config, mixed1, mixed2)
     system = assemble_block_system(H1, H2, M1, M2, t)
     # the system is this call's own, so getrf factors it where it lies
     d = lu_solve(system, rhs, overwrite_a=True)
     n1 = H1.matrix.shape[0]
-    return Direction(d1=d[:n1], d2=d[n1:])
+    return d[:n1], d[n1:]
 
 
-def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
-    """Evaluate the six acceptance inequalities for a trial step.
+def check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config):
+    """The six acceptance inequalities for the trial step t along (d1, d2),
+    as booleans, players 1 then 2: armijo, angle, ratio.
 
     Player 1 is judged against f1 parameterized at the predicted opponent
     decision x2 + t*d2, player 2 against f2 at x1 + t*d1: an Armijo
@@ -243,7 +230,6 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
     treats that as a rejected trial and notes possible divergence.
     """
-    d1, d2 = direction.d1, direction.d2
     y1 = x1 + t * d1
     y2 = x2 + t * d2
     pred1 = problem._at(x1, y2)  # player 1 against the predicted x2
@@ -274,7 +260,7 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
     slope1 = float(p1 @ d1)
     slope2 = float(p2 @ d2)
 
-    checks = (
+    return (
         f1_trial <= f1_pred + config.alpha * t * slope1,
         slope1 <= -config.theta * p1n * d1n,
         config.gamma * p1n * g1n <= d1n * g1n,
@@ -282,7 +268,6 @@ def check_inequalities(problem, x1, x2, g_norms, direction, t, config):
         slope2 <= -config.theta * p2n * d2n,
         config.gamma * p2n * g2n <= d2n * g2n,
     )
-    return LineSearchCertificate(t=t, checks=checks, backtracks=0, singular_halvings=0)
 
 
 def _descent_step(problem, config, x1, x2, res):
@@ -311,18 +296,18 @@ def _descent_step(problem, config, x1, x2, res):
     nonfinite_seen = False
     while True:
         try:
-            direction = compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config)
+            d1, d2 = compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config)
         except SingularMatrixError:
             singular_halvings += 1
         else:
             try:
-                cert = check_inequalities(problem, x1, x2, g_norms, direction, t, config)
-                if cert.accepted:
-                    cert = LineSearchCertificate(cert.t, cert.checks, backtracks, singular_halvings)
-                    d1, d2 = direction.d1, direction.d2
-                    return x1 + t * d1, x2 + t * d2, t, d1, d2, cert
+                checks = check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config)
             except NonFiniteEvaluation:
                 nonfinite_seen = True
+            else:
+                if all(checks):
+                    cert = LineSearchCertificate(t, checks, backtracks, singular_halvings)
+                    return x1 + t * d1, x2 + t * d2, t, d1, d2, cert
             backtracks += 1
         t *= 0.5
         if t < T_MIN:

@@ -162,6 +162,34 @@ def test_bench_tracer_hooks_count_and_restore(monkeypatch):
     assert all(getattr(mod, name) is fn for (mod, name), fn in zip(patched, originals))
 
 
+def test_bench_tracer_counts_identity_fallbacks(monkeypatch):
+    # the tracer counts a surrogate as an identity fallback when building it
+    # made no modified_cholesky call; on descent-newton solves of facility2d
+    # from the first 20 starts of `facility-bench --seed 0` that count must
+    # equal the Hessian blocks, at the iterates, whose symmetric part has an
+    # eigenvalue below -1e-8
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "bench"))
+    import tracing
+    from nepsolve import SolverConfig, get_problem, solve
+
+    problem = get_problem("facility2d")
+    starts = np.random.default_rng(0).uniform(-2.0, 2.0, size=(20, 4))
+    config = SolverConfig(grad_tol=1e-6)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        reports = [solve(problem, row[:2], row[2:], config) for row in starts]
+    assert all(report.status.value == "converged" for report in reports)
+    iterates = [(rec.x1, rec.x2) for report in reports for rec in report.trajectory]
+    assert tracer.calls["solver.surrogate"] == len(iterates)
+    indefinite = 0
+    for x1, x2 in iterates:
+        point = problem.at(x1, x2)
+        for h in (point.hess11, point.hess22):
+            indefinite += np.linalg.eigvalsh(0.5 * (h + h.T))[0] < -1e-8
+    assert indefinite > 0
+    assert tracer.identity_fallbacks == indefinite
+
+
 def test_usage_error_exit_code():
     # solve has no --seed: its runs use no randomness
     for args in (["solve", "--no-such-flag"], ["solve", "--problem", "examp1", "--seed", "1"]):

@@ -10,9 +10,11 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nepsolve.core as core_mod
 import nepsolve.linalg as linalg_mod
 from nepsolve import (
     DimensionMismatch,
+    NonFiniteEvaluation,
     ShiftOverflow,
     SingularMatrixError,
     SpdSurrogate,
@@ -241,32 +243,32 @@ def test_lu_residual_bound(seed, n):
 
 
 def test_modified_cholesky_identity_untouched():
-    out = modified_cholesky(np.eye(3), floor=1e-8)
+    out = modified_cholesky(np.eye(3))
     assert out.shift == 0.0
     assert np.array_equal(out.matrix, np.eye(3))
 
 
 def test_modified_cholesky_zero_matrix():
     # doubling search from the floor: the first candidate shift succeeds
-    out = modified_cholesky(np.array([[0.0]]), floor=1e-8)
+    out = modified_cholesky(np.array([[0.0]]))
     assert out.shift == 1e-8
     assert out.matrix == pytest.approx(np.array([[1e-8]]), abs=0)
 
 
 def test_modified_cholesky_positive_scalar():
-    out = modified_cholesky(np.array([[2.0]]), floor=1e-8)
+    out = modified_cholesky(np.array([[2.0]]))
     assert out.shift == 0.0
     assert out.matrix == pytest.approx(np.array([[2.0]]), abs=0)
 
 
 def test_modified_cholesky_rejects_asymmetric():
     with pytest.raises(ValueError):
-        modified_cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]), floor=1e-8)
+        modified_cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_modified_cholesky_shift_overflow():
     with pytest.raises(ShiftOverflow):
-        modified_cholesky(np.array([[-1e13]]), floor=1e-8)
+        modified_cholesky(np.array([[-1e13]]))
 
 
 @pytest.mark.parametrize("H", [
@@ -282,8 +284,8 @@ def test_modified_cholesky_rejects_non_finite(monkeypatch, H):
         dgetrf=real.dgetrf, dgetrs=real.dgetrs,
         dpotrf=lambda *args, **kwargs: potrf_calls.append(1) or real.dpotrf(*args, **kwargs),
     ))
-    with pytest.raises(ValueError, match="finite"):
-        modified_cholesky(np.array(H), floor=1e-8)
+    with pytest.raises(NonFiniteEvaluation, match="finite"):
+        modified_cholesky(np.array(H))
     assert potrf_calls == []
 
 
@@ -294,14 +296,22 @@ def test_modified_cholesky_rejects_non_finite(monkeypatch, H):
 def test_cholesky_settles_reads_every_diagonal_entry(diagonal):
     # blocks of order 1 and 2 read the factor's diagonal and the trace entry
     # by entry: the smallest pivot and the rounding guard's whole trace count
+    # toward whether one Cholesky settles psd_test, which then reports no
+    # eigenvalue
     S = np.diag(diagonal)
-    floor = 1e-8
+    floor = linalg_mod.PSD_FLOOR
     L = np.linalg.cholesky(S)
-    expected = (
+    settled = (
         np.diag(L).min() ** 2 >= floor * linalg_mod.CHOL_PIVOT_SAFETY
         and linalg_mod.CHOL_ROUNDING * len(diagonal) * S.trace() <= floor
     )
-    assert linalg_mod.cholesky_settles(S, floor) == expected
+    psd, min_eig = linalg_mod.psd_test(S)
+    assert psd
+    assert min_eig == (None if settled else min(diagonal))
+
+
+def test_one_non_finite_verdict():
+    assert NonFiniteEvaluation is linalg_mod.NonFiniteEvaluation is core_mod.NonFiniteEvaluation
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +358,11 @@ ACCEPTED = {
         (_A.tolist(), _A, [[np.nan, 0.0], [np.inf, 1.0]], _M, 0.5),
         (_A, _A, np.array([[np.nan, 0.0], [np.inf, 1.0]]), _M, 0.5),
     ),
-    "modified_cholesky-lists": (modified_cholesky, ([[2, 1], [1, 3]], 1e-8), (_A, 1e-8)),
-    "modified_cholesky-int-array": (modified_cholesky, (np.array([[0, 0], [0, 0]]), 1e-8), (np.zeros((2, 2)), 1e-8)),
-    "modified_cholesky-0d": (modified_cholesky, (-2, 1e-8), (np.array([[-2.0]]), 1e-8)),
-    "modified_cholesky-1d": (modified_cholesky, (np.array([5.0]), 1e-8), (np.array([[5.0]]), 1e-8)),
-    "modified_cholesky-fortran-order": (modified_cholesky, (np.asfortranarray(_A), 1e-8), (_A, 1e-8)),
+    "modified_cholesky-lists": (modified_cholesky, ([[2, 1], [1, 3]],), (_A,)),
+    "modified_cholesky-int-array": (modified_cholesky, (np.array([[0, 0], [0, 0]]),), (np.zeros((2, 2)),)),
+    "modified_cholesky-0d": (modified_cholesky, (-2,), (np.array([[-2.0]]),)),
+    "modified_cholesky-1d": (modified_cholesky, (np.array([5.0]),), (np.array([[5.0]]),)),
+    "modified_cholesky-fortran-order": (modified_cholesky, (np.asfortranarray(_A),), (_A,)),
 }
 
 
@@ -379,7 +389,7 @@ def test_kernel_results_on_converted_arguments():
     assert np.array_equal(
         assemble_block_system(2, np.float64(3.0), 1, 0.0, 0.5), [[2.0, 0.5], [0.0, 3.0]]
     )
-    out = modified_cholesky(-2, 1e-8)
+    out = modified_cholesky(-2)
     assert out.matrix.shape == (1, 1) and out.shift > 2.0
     x = lu_solve(_A.tolist(), [np.nan, 1.0])
     assert np.isnan(x).all()
@@ -392,8 +402,8 @@ REJECTED = {
     "lu_solve-3d": (lu_solve, (np.ones((2, 2, 2)), np.ones(2)), DimensionMismatch),
     "lu_solve-rhs-length": (lu_solve, (_A, np.ones(3)), DimensionMismatch),
     "lu_solve-rhs-column": (lu_solve, (_A, np.ones((2, 1))), DimensionMismatch),
-    "lu_solve-nan": (lu_solve, ([[1.0, np.nan], [0.0, 1.0]], _B), SingularMatrixError),
-    "lu_solve-inf": (lu_solve, (np.diag([np.inf, 1.0]), _B), SingularMatrixError),
+    "lu_solve-nan": (lu_solve, ([[1.0, np.nan], [0.0, 1.0]], _B), NonFiniteEvaluation),
+    "lu_solve-inf": (lu_solve, (np.diag([np.inf, 1.0]), _B), NonFiniteEvaluation),
     "lu_solve-singular": (lu_solve, (np.ones((2, 2), dtype=int), _B), SingularMatrixError),
     "assemble-non-square": (
         assemble_block_system, (np.ones((2, 3)), _A, _M, _M, 1.0), DimensionMismatch,
@@ -407,12 +417,11 @@ REJECTED = {
     "assemble-non-conforming-surrogate": (
         assemble_block_system, (SpdSurrogate(np.eye(3), 0.0), _A, _M, _M, 1.0), DimensionMismatch,
     ),
-    "modified_cholesky-non-square": (modified_cholesky, (np.ones((2, 3)), 1e-8), DimensionMismatch),
-    "modified_cholesky-1d-row": (modified_cholesky, (np.ones(2), 1e-8), DimensionMismatch),
-    "modified_cholesky-asymmetric": (modified_cholesky, ([[1, 2], [0, 1]], 1e-8), ValueError),
-    "modified_cholesky-floor": (modified_cholesky, (_A, 0.0), ValueError),
-    "modified_cholesky-nan": (modified_cholesky, ([[np.nan]], 1e-8), ValueError),
-    "modified_cholesky-inf": (modified_cholesky, (np.diag([np.inf, 1.0]), 1e-8), ValueError),
+    "modified_cholesky-non-square": (modified_cholesky, (np.ones((2, 3)),), DimensionMismatch),
+    "modified_cholesky-1d-row": (modified_cholesky, (np.ones(2),), DimensionMismatch),
+    "modified_cholesky-asymmetric": (modified_cholesky, ([[1, 2], [0, 1]],), ValueError),
+    "modified_cholesky-nan": (modified_cholesky, ([[np.nan]],), NonFiniteEvaluation),
+    "modified_cholesky-inf": (modified_cholesky, (np.diag([np.inf, 1.0]),), NonFiniteEvaluation),
 }
 
 
@@ -429,7 +438,7 @@ def test_modified_cholesky_diagonal_shift_only(seed, n):
     rng = np.random.default_rng(seed)
     raw = rng.uniform(-3.0, 3.0, size=(n, n))
     H = 0.5 * (raw + raw.T)
-    out = modified_cholesky(H, floor=1e-8)
+    out = modified_cholesky(H)
     lo, _ = spectral_bounds_sym(out.matrix)
     assert lo >= -1e-10
     diff = out.matrix - H

@@ -24,15 +24,15 @@ from nepsolve import (
 )
 import nepsolve.solver as solver_mod
 import nepsolve.suite as suite_mod
-from nepsolve.core import EPS_PSD
 from nepsolve.baselines import newton_kkt_step
 from nepsolve.linalg import (
     CHOL_PIVOT_SAFETY,
+    PSD_FLOOR,
     SpdSurrogate,
     _chol_succeeds,
     assemble_block_system,
 )
-from nepsolve.solver import CHOL_FLOOR, Direction, _exact_surrogate, build_surrogates
+from nepsolve.solver import _exact_surrogate, build_surrogates
 
 
 def residual_at(problem, x1, x2):
@@ -106,11 +106,11 @@ def test_direction_counterexample(counterexample_problem):
     problem = counterexample_problem
     x1, x2 = np.array([0.0]), np.array([0.0])
     res = residual_at(problem, x1, x2)
-    H1 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    H2 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    d = direction_at(res, H1, H2, 1.0, SolverConfig())
-    assert d.d1 == pytest.approx([3.0], abs=1e-14)
-    assert d.d2 == pytest.approx([-2.0], abs=1e-14)
+    H1 = modified_cholesky(np.array([[1.0]]))
+    H2 = modified_cholesky(np.array([[1.0]]))
+    d1, d2 = direction_at(res, H1, H2, 1.0, SolverConfig())
+    assert d1 == pytest.approx([3.0], abs=1e-14)
+    assert d2 == pytest.approx([-2.0], abs=1e-14)
 
 
 def test_direction_example1_lands_on_solution():
@@ -118,12 +118,12 @@ def test_direction_example1_lands_on_solution():
     problem = make_example(1)
     x1, x2 = np.array([-5.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
-    H1 = modified_cholesky(np.array([[2.0]]), 1e-8)
-    H2 = modified_cholesky(np.array([[3.0]]), 1e-8)
-    d = direction_at(res, H1, H2, 1.0, SolverConfig())
-    assert d.d1 == pytest.approx([7.0], abs=1e-13)
-    assert d.d2 == pytest.approx([0.0], abs=1e-13)
-    assert x1 + d.d1 == pytest.approx([2.0], abs=1e-12)
+    H1 = modified_cholesky(np.array([[2.0]]))
+    H2 = modified_cholesky(np.array([[3.0]]))
+    d1, d2 = direction_at(res, H1, H2, 1.0, SolverConfig())
+    assert d1 == pytest.approx([7.0], abs=1e-13)
+    assert d2 == pytest.approx([0.0], abs=1e-13)
+    assert x1 + d1 == pytest.approx([2.0], abs=1e-12)
 
 
 def test_direction_zero_gradient_gives_zero():
@@ -131,8 +131,8 @@ def test_direction_zero_gradient_gives_zero():
     x1, x2 = np.array([2.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
     H1, H2 = build_surrogates(res.point, SolverConfig())
-    d = direction_at(res, H1, H2, 1.0, SolverConfig())
-    assert np.all(d.d1 == 0.0) and np.all(d.d2 == 0.0)
+    d1, d2 = direction_at(res, H1, H2, 1.0, SolverConfig())
+    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
 
 def test_direction_solves_assembled_system():
@@ -142,9 +142,9 @@ def test_direction_solves_assembled_system():
     res = residual_at(problem, x1, x2)
     H1, H2 = build_surrogates(res.point, cfg)
     for t in (1.0, 0.5, 0.25):
-        d = direction_at(res, H1, H2, t, cfg)
-        lhs1 = H1.matrix @ d.d1 + t * res.point.mixed12 @ d.d2
-        lhs2 = t * res.point.mixed21 @ d.d1 + H2.matrix @ d.d2
+        d1, d2 = direction_at(res, H1, H2, t, cfg)
+        lhs1 = H1.matrix @ d1 + t * res.point.mixed12 @ d2
+        lhs2 = t * res.point.mixed21 @ d1 + H2.matrix @ d2
         resid = np.linalg.norm(np.concatenate([lhs1 + res.g1, lhs2 + res.g2]))
         assert resid <= 1e-8 * max(1.0, res.norm)
 
@@ -153,24 +153,28 @@ def test_inequalities_reject_counterexample_direction(counterexample_problem):
     problem = counterexample_problem
     x1, x2 = np.array([0.0]), np.array([0.0])
     res = residual_at(problem, x1, x2)
-    H1 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    H2 = modified_cholesky(np.array([[1.0]]), 1e-8)
-    d = direction_at(res, H1, H2, 1.0, SolverConfig())
-    cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, 1.0, SolverConfig())
+    H1 = modified_cholesky(np.array([[1.0]]))
+    H2 = modified_cholesky(np.array([[1.0]]))
+    d1, d2 = direction_at(res, H1, H2, 1.0, SolverConfig())
+    checks = check_inequalities(
+        problem, x1, x2, gradient_norms(res.g1, res.g2), d1, d2, 1.0, SolverConfig()
+    )
     # the predicted-gradient slope for player 1 is positive: angle check fails
-    assert cert.checks[1] is False or cert.checks[1] == False  # noqa: E712
-    assert not cert.accepted
+    assert checks[1] is False or checks[1] == False  # noqa: E712
+    assert not all(checks)
 
 
 def test_inequalities_accept_example1_full_step():
     problem = make_example(1)
     x1, x2 = np.array([-5.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
-    H1 = modified_cholesky(np.array([[2.0]]), 1e-8)
-    H2 = modified_cholesky(np.array([[3.0]]), 1e-8)
-    d = direction_at(res, H1, H2, 1.0, SolverConfig())
-    cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, 1.0, SolverConfig())
-    assert cert.accepted
+    H1 = modified_cholesky(np.array([[2.0]]))
+    H2 = modified_cholesky(np.array([[3.0]]))
+    d1, d2 = direction_at(res, H1, H2, 1.0, SolverConfig())
+    checks = check_inequalities(
+        problem, x1, x2, gradient_norms(res.g1, res.g2), d1, d2, 1.0, SolverConfig()
+    )
+    assert all(checks)
 
 
 def test_inequalities_zero_direction_at_stationary_point():
@@ -179,10 +183,12 @@ def test_inequalities_zero_direction_at_stationary_point():
     problem = make_example(5)
     x1, x2 = np.array([0.0]), np.array([0.0])
     res = residual_at(problem, x1, x2)
-    d = Direction(d1=np.zeros(1), d2=np.zeros(1))
+    d = np.zeros(1)
     for t in (1.0, 0.5, 0.125):
-        cert = check_inequalities(problem, x1, x2, gradient_norms(res.g1, res.g2), d, t, SolverConfig())
-        assert cert.accepted
+        checks = check_inequalities(
+            problem, x1, x2, gradient_norms(res.g1, res.g2), d, d, t, SolverConfig()
+        )
+        assert all(checks)
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +273,12 @@ def test_certificates_recheck_from_records():
     report = solve(make_example(5), [-5.0], [1.0])
     cfg = report.config
     for rec in report.trajectory:
-        d = Direction(d1=rec.d1, d2=rec.d2)
-        cert = check_inequalities(
-            report.problem, rec.x1, rec.x2, gradient_norms(rec.g1, rec.g2), d, rec.t, cfg
+        checks = check_inequalities(
+            report.problem, rec.x1, rec.x2, gradient_norms(rec.g1, rec.g2), rec.d1, rec.d2,
+            rec.t, cfg,
         )
-        assert cert.accepted
-        assert cert.checks == rec.certificate.checks
+        assert all(checks) and rec.certificate.accepted
+        assert checks == rec.certificate.checks
 
 
 def test_monotone_predicted_descent():
@@ -365,6 +371,28 @@ def test_line_search_failure_status():
     report = solve(make_example(1), [-5.0], [1.0], SolverConfig(theta=2.0))
     assert report.status is SolveStatus.LINE_SEARCH_FAILURE
     assert report.trajectory == ()
+
+
+def test_non_finite_hessian_diverges_under_every_solver():
+    # finite gradients everywhere, but player 1's Hessian block is NaN for
+    # |x1| > 0.5: every solver meets it at the start point, and a non-finite
+    # evaluation is divergence whichever kernel finds it (exact-jacobi's
+    # inner solve hands the block to lu_solve unchecked)
+    problem = NepProblem(
+        n1=1, n2=1,
+        f1=lambda x1, x2: float(x1[0] ** 2 + x1[0] * x2[0]),
+        f2=lambda x1, x2: float(x2[0] ** 2 - x1[0] * x2[0]),
+        grad1=lambda x1, x2: 2.0 * x1 + x2,
+        grad2=lambda x1, x2: 2.0 * x2 - x1,
+        hess11=lambda x1, x2: np.array([[np.nan if abs(x1[0]) > 0.5 else 2.0]]),
+        hess22=lambda x1, x2: np.array([[2.0]]),
+        hess12_f1=lambda x1, x2: np.array([[1.0]]),
+        hess21_f2=lambda x1, x2: np.array([[-1.0]]),
+    )
+    for run in (solve, solve_newton_kkt, solve_exact_jacobi):
+        report = run(problem, [1.0], [1.0])
+        assert report.status is SolveStatus.DIVERGED, run.__name__
+        assert report.iterations == 0
 
 
 def _count_gradient_calls(problem):
@@ -543,7 +571,7 @@ def _eigvalsh_rule(block):
     loop as first written: the reference for the Cholesky-first rule."""
     block = 0.5 * (block + block.T)
     n = block.shape[0]
-    if float(np.linalg.eigvalsh(block)[0]) < -CHOL_FLOOR:
+    if float(np.linalg.eigvalsh(block)[0]) < -PSD_FLOOR:
         return np.eye(n), 0.0
     H = 0.5 * (block + block.T)  # modified_cholesky symmetrized once more
     eye = np.eye(n)
@@ -551,11 +579,11 @@ def _eigvalsh_rule(block):
     while True:
         try:
             L = np.linalg.cholesky(H + delta * eye)
-            if np.min(np.diag(L)) ** 2 >= CHOL_FLOOR * CHOL_PIVOT_SAFETY:
+            if np.min(np.diag(L)) ** 2 >= PSD_FLOOR * CHOL_PIVOT_SAFETY:
                 return H + delta * eye, delta
         except np.linalg.LinAlgError:
             pass
-        delta = CHOL_FLOOR if delta == 0.0 else 2.0 * delta
+        delta = PSD_FLOOR if delta == 0.0 else 2.0 * delta
 
 
 def _seeded_block(kind, n, seed):
@@ -568,11 +596,11 @@ def _seeded_block(kind, n, seed):
         # positive definite, with -0.0 off the diagonal
         return np.where(np.eye(n, dtype=bool), np.diag(lam), -0.0)
     if kind in ("near-psd", "psd-singular"):
-        lam[0] = -0.5 * CHOL_FLOOR if kind == "near-psd" else 0.0
+        lam[0] = -0.5 * PSD_FLOOR if kind == "near-psd" else 0.0
     if kind == "indefinite":
         lam[0] = -rng.uniform(0.5, 5.0)
     if kind == "large-norm-singular":
-        # rounding of order n * eps * 1e10 swamps CHOL_FLOOR: potrf and
+        # rounding of order n * eps * 1e10 swamps PSD_FLOOR: potrf and
         # eigvalsh each see the null eigenvalue with either sign
         lam *= 1e10
         lam[0] = 0.0
@@ -594,7 +622,7 @@ def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
     calls = []
     real = solver_mod.modified_cholesky
     monkeypatch.setattr(
-        solver_mod, "modified_cholesky", lambda H, floor: calls.append(1) or real(H, floor)
+        solver_mod, "modified_cholesky", lambda H: calls.append(1) or real(H)
     )
     cholesky_passed_eigvalsh_negative = 0
     for seed in range(5):
@@ -607,17 +635,15 @@ def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
         assert out.shift == shift
         assert np.array_equal(block.view(np.uint64), original.view(np.uint64))
         symmetric = 0.5 * (block + block.T)
-        identity = float(np.linalg.eigvalsh(symmetric)[0]) < -CHOL_FLOOR
-        cholesky_passed_eigvalsh_negative += identity and _chol_succeeds(
-            symmetric, CHOL_FLOOR * CHOL_PIVOT_SAFETY
-        )
+        identity = float(np.linalg.eigvalsh(symmetric)[0]) < -PSD_FLOOR
+        cholesky_passed_eigvalsh_negative += identity and _chol_succeeds(symmetric)
         # every surrogate but the identity comes from one modified_cholesky
         # call through the module global, which the benchmark's tracer counts
         assert len(calls) == (0 if identity else 1)
         if kind in ("positive-definite", "diagonal-negative-zeros"):
             assert shift == 0.0
         elif kind == "null":
-            assert np.array_equal(matrix, CHOL_FLOOR * np.eye(n))
+            assert np.array_equal(matrix, PSD_FLOOR * np.eye(n))
         elif kind in ("near-psd", "psd-singular"):
             assert shift > 0.0
         elif kind == "indefinite":
@@ -626,7 +652,7 @@ def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
         assert not np.any(np.signbit(out.matrix))
     if kind == "large-norm-singular" and n in (5, 40):
         # the seeds reach the blocks that pass the Cholesky test while
-        # eigvalsh puts an eigenvalue below -CHOL_FLOOR: the identity, as
+        # eigvalsh puts an eigenvalue below -PSD_FLOOR: the identity, as
         # the eigvalsh rule decides, because the rounding guard sends them
         # to eigvalsh
         assert cholesky_passed_eigvalsh_negative > 0
@@ -647,9 +673,9 @@ def _classify_block(kind, n, seed):
     if kind not in ("edge-above", "edge-below"):
         return _seeded_block(kind, n, seed)
     # shifted so that eigvalsh puts the smallest eigenvalue at
-    # -EPS_PSD * (1 -+ 1e-3), just above or just below the PSD tolerance
+    # -PSD_FLOOR * (1 -+ 1e-3), just above or just below the PSD tolerance
     block = _seeded_block("positive-definite", n, seed)
-    target = -EPS_PSD * (1.0 + (-1e-3 if kind == "edge-above" else 1e-3))
+    target = -PSD_FLOOR * (1.0 + (-1e-3 if kind == "edge-above" else 1e-3))
     return block + (target - np.linalg.eigvalsh(block)[0]) * np.eye(n)
 
 
@@ -666,13 +692,13 @@ def test_classification_matches_eigvalsh_rule(kind, n):
         h22 = _classify_block(kind, n, seed + 5)
         min_eigs = [float(np.linalg.eigvalsh(0.5 * (h + h.T))[0]) for h in (h11, h22)]
         cls = classify_point(residual_at(_blocks_problem(h11, h22), np.zeros(n), np.zeros(n)), tol=1e-4)
-        psd = min(min_eigs) >= -EPS_PSD
+        psd = min(min_eigs) >= -PSD_FLOOR
         assert cls.kind is (
             PointKind.EQUILIBRIUM_CANDIDATE if psd else PointKind.NON_EQUILIBRIUM_STATIONARY
         )
         assert [cls.min_eig_1, cls.min_eig_2] == min_eigs
         cholesky_passed_eigvalsh_negative += sum(
-            m < -EPS_PSD and _chol_succeeds(0.5 * (h + h.T), EPS_PSD * CHOL_PIVOT_SAFETY)
+            m < -PSD_FLOOR and _chol_succeeds(0.5 * (h + h.T))
             for h, m in zip((h11, h22), min_eigs)
         )
         if kind == "edge-above":
@@ -681,7 +707,7 @@ def test_classification_matches_eigvalsh_rule(kind, n):
             assert not psd
     if kind == "large-norm-singular" and n in (5, 40, 150):
         # blocks that pass the Cholesky test while eigvalsh finds an
-        # eigenvalue below -EPS_PSD: the rounding guard sends them to eigvalsh
+        # eigenvalue below -PSD_FLOOR: the rounding guard sends them to eigvalsh
         assert cholesky_passed_eigvalsh_negative > 0
 
 
@@ -723,7 +749,7 @@ def test_an_assembly_that_hands_back_h1_is_caught(monkeypatch):
     # that handed back H1's own memory would let getrf factor the surrogate
     rng = np.random.default_rng(11)
     raw = rng.standard_normal((4, 4))
-    H1 = modified_cholesky(raw @ raw.T + np.eye(4), CHOL_FLOOR)
+    H1 = modified_cholesky(raw @ raw.T + np.eye(4))
     H2 = SpdSurrogate(np.zeros((0, 0)), 0.0)
     mixed1, mixed2 = np.zeros((4, 0)), np.zeros((0, 4))
     rhs = rng.standard_normal(4)
@@ -754,11 +780,11 @@ def test_dense_direction_and_newton_step_have_scipys_bits():
     H1, H2 = build_surrogates(point, config)
     g_norms = gradient_norms(res.g1, res.g2)
     for t in (1.0, 0.5):
-        d = direction_at(res, H1, H2, t, config)
+        d1, d2 = direction_at(res, H1, H2, t, config)
         M1, M2 = safeguard_mixed_blocks(*g_norms, t, config, point.mixed12, point.mixed21)
         system = np.block([[H1.matrix, t * M1], [t * M2, H2.matrix]])
         expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(system), rhs)
-        assert np.concatenate([d.d1, d.d2]).tobytes() == expected.tobytes()
+        assert np.concatenate([d1, d2]).tobytes() == expected.tobytes()
     K = np.block([[point.hess11, point.mixed12], [point.mixed21, point.hess22]])
     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(K), rhs)
     assert np.concatenate(newton_kkt_step(problem, res)).tobytes() == expected.tobytes()

@@ -307,7 +307,7 @@ def test_random_quadratic_deterministic():
 def test_random_quadratic_spd_blocks():
     q = random_quadratic_nep(4, 3, seed=9)
     for A in (q.A1, q.A2):
-        out = modified_cholesky(A, floor=1e-8)
+        out = modified_cholesky(A)
         assert out.shift == 0.0
 
 
