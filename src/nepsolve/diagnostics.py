@@ -436,17 +436,25 @@ _DERIVATIVES = {
 }
 
 
+#: validate_derivatives gives up after this many consecutive excluded draws
+MAX_CONSECUTIVE_EXCLUDED = 1000
+
+
 def validate_derivatives(problem, box, samples, seed, exclude=None):
     """Cross-check analytic derivatives against central finite differences.
 
     Samples points in the box, skipping those for which exclude(x1, x2) is
-    true (e.g. near singularities). Each derivative of the point is compared
-    with `problem.finite_difference` of its oracle: the gradients with
-    central differences of f1/f2, the four Hessian blocks with central
-    differences of the gradients. Returns the max relative errors, measured
-    as ||analytic - fd|| / max(1, ||analytic||), plus the worst per-player
-    Hessian asymmetry.
+    true (e.g. near singularities). Raises ValueError for samples < 1, and
+    once MAX_CONSECUTIVE_EXCLUDED draws in a row have been excluded, so an
+    exclude that rejects the whole box ends the call. Each derivative of
+    the point is compared with `problem.finite_difference` of its oracle:
+    the gradients with central differences of f1/f2, the four Hessian
+    blocks with central differences of the gradients. Returns the max
+    relative errors, measured as ||analytic - fd|| / max(1, ||analytic||),
+    plus the worst per-player Hessian asymmetry.
     """
+    if samples < 1:
+        raise ValueError("need at least one sample")
     n1, n2 = problem.n1, problem.n2
     lo, hi = _box_bounds(box, n1 + n2)
     rng = np.random.default_rng(seed)
@@ -454,11 +462,18 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
     errs = dict.fromkeys(_DERIVATIVES, 0.0)
     asym = 0.0
     kept = 0
+    excluded = 0
     while kept < samples:
         x = lo + (hi - lo) * rng.uniform(size=n1 + n2)
         x1, x2 = x[:n1], x[n1:]
         if exclude is not None and exclude(x1, x2):
+            excluded += 1
+            if excluded == MAX_CONSECUTIVE_EXCLUDED:
+                raise ValueError(
+                    f"exclude rejected {excluded} consecutive draws from the box"
+                )
             continue
+        excluded = 0
         kept += 1
         point = problem.at(x1, x2)
         values = {}

@@ -97,7 +97,8 @@ CHOL_PIVOT_SAFETY = 1e-2
 MAX_SHIFT = 1e12
 
 #: a block of order n that passes the Cholesky test settles psd_test only
-#: while CHOL_ROUNDING * n * trace <= PSD_FLOOR
+#: while CHOL_ROUNDING * n * trace <= PSD_FLOOR; the quadratic generator's
+#: certificate shifts its Gram matrix down by CHOL_ROUNDING * N * trace
 CHOL_ROUNDING = 16 * np.finfo(float).eps
 
 _FLOAT = np.dtype(float)

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NepProblem
+from .linalg import CHOL_ROUNDING, lapack
 
 
 class UnknownProblemId(ValueError):
@@ -419,9 +420,53 @@ def _random_spd(rng, n):
     return 0.5 * (A + A.T)
 
 
+def _gram_certifies(K):
+    """Whether one Cholesky proves sigma_min(K) > 1e-8 * sigma_max(K).
+
+    The Gram matrix G = K^T K is shifted down by tau = CHOL_ROUNDING * N *
+    trace(G) and factored in place by LAPACK's potrf (G.T, the transpose of
+    the C-ordered product, is the Fortran-ordered array potrf factors
+    without a copy); success is the certificate.
+    """
+    G = K.T @ K
+    N = G.shape[0]
+    G.flat[:: N + 1] -= CHOL_ROUNDING * N * G.trace()
+    _, info = lapack.dpotrf(G.T, lower=1, clean=0, overwrite_a=1)
+    return info == 0
+
+
+def _well_conditioned(K):
+    """The generator's test: sigma_min(K) > 1e-8 * sigma_max(K), as the
+    singular values of K decide it, which run only when `_gram_certifies`
+    cannot settle the draw."""
+    if _gram_certifies(K):
+        return True
+    svals = np.linalg.svd(K, compute_uv=False)
+    return bool(svals[-1] > 1e-8 * svals[0])
+
+
 def random_quadratic_nep(n1, n2, seed):
     """Seeded strictly convex quadratic game with a verified nonsingular
-    full matrix (the mixed blocks are resampled on failure)."""
+    full matrix (the mixed blocks are resampled on failure).
+
+    A draw is kept when the full matrix K = [[A1, B1], [B2, A2]], of order
+    N = n1 + n2, has sigma_min(K) > 1e-8 * sigma_max(K) by its SVD; after
+    100 rejected draws GenerationFailure is raised. Most draws are settled
+    without the SVD, by a Cholesky of K^T K - tau I with tau = CHOL_ROUNDING
+    * N * trace(K^T K), CHOL_ROUNDING being 16 eps. That certificate accepts
+    only draws the SVD rule accepts, so every game keeps its bits:
+
+    - With u = eps/2, forming G = K^T K and then factoring G - tau I each
+      perturb K^T K by at most about N * u * ||K||_F^2 in norm (the trace
+      of G is ||K||_F^2 up to rounding).
+    - A successful factorization therefore gives sigma_min(K)^2 >= tau -
+      2 N u ||K||_F^2, about 15 N eps ||K||_F^2.
+    - Since ||K||_F >= sigma_max(K) and N >= 2, sigma_min / sigma_max >=
+      sqrt(30 eps), about 8e-8: above 1e-8, and far above the N * u *
+      sigma_max to which gesdd computes each singular value.
+
+    A draw the factorization rejects goes to the SVD rule unchanged.
+    """
     if n1 < 1 or n2 < 1:
         raise ValueError("dimensions must be >= 1")
     rng = np.random.default_rng(seed)
@@ -432,9 +477,7 @@ def random_quadratic_nep(n1, n2, seed):
     for _ in range(100):
         B1 = rng.uniform(-1.0, 1.0, size=(n1, n2))
         B2 = rng.uniform(-1.0, 1.0, size=(n2, n1))
-        full = np.block([[A1, B1], [B2, A2]])
-        svals = np.linalg.svd(full, compute_uv=False)
-        if svals[-1] > 1e-8 * svals[0]:
+        if _well_conditioned(np.block([[A1, B1], [B2, A2]])):
             return QuadraticNep(A1=A1, A2=A2, B1=B1, B2=B2, c1=c1, c2=c2)
     raise GenerationFailure("could not draw a nonsingular full matrix in 100 tries")
 

@@ -1,12 +1,19 @@
+import hashlib
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nepsolve.core
+import nepsolve.diagnostics
+import nepsolve.suite
 from nepsolve import (
     FacilityInstance,
+    GenerationFailure,
     NepProblem,
     NonFiniteEvaluation,
     PointKind,
@@ -160,6 +167,25 @@ def test_facility_symmetric_instance():
     for a in (0.3, 1.7, -2.4):
         point = problem.at([a], [-a])
         assert point.value1 == pytest.approx(point.value2, rel=1e-14)
+
+
+def test_validate_derivatives_needs_a_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        validate_derivatives(make_example(1), box=(-1.0, 1.0), samples=0, seed=0)
+
+
+def test_validate_derivatives_gives_up_when_every_draw_is_excluded():
+    calls = []
+
+    def exclude_all(x1, x2):
+        calls.append(1)
+        return True
+
+    with pytest.raises(ValueError, match="consecutive draws"):
+        validate_derivatives(
+            get_problem("examp1"), box=(-1.0, 1.0), samples=3, seed=0, exclude=exclude_all
+        )
+    assert len(calls) == nepsolve.diagnostics.MAX_CONSECUTIVE_EXCLUDED
 
 
 def test_facility_gradient_matches_finite_differences():
@@ -316,6 +342,162 @@ def test_random_quadratic_equilibrium_solves_system():
     x1, x2 = q.equilibrium()
     res = residual_at(q.to_problem(), x1, x2)
     assert res.norm <= 1e-10
+
+
+def _with_singular_values(rng, svals):
+    n = len(svals)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * svals) @ v.T
+
+
+def test_gram_certificate_settles_a_well_conditioned_matrix(monkeypatch):
+    rng = np.random.default_rng(0)
+    K = _with_singular_values(rng, rng.uniform(1.0, 10.0, size=100))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("np.linalg.svd was called")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    assert nepsolve.suite._gram_certifies(K.copy())
+    assert nepsolve.suite._well_conditioned(K)
+
+
+def test_gram_certificate_defers_moderate_conditioning_to_the_svd():
+    # kappa 1e6: below the SVD rule's 1e8, above what the certificate proves
+    rng = np.random.default_rng(1)
+    svals = np.ones(100)
+    svals[-1] = 1e-6
+    K = _with_singular_values(rng, svals)
+    assert not nepsolve.suite._gram_certifies(K.copy())
+    assert nepsolve.suite._well_conditioned(K)
+
+
+def test_near_singular_full_matrix_is_rejected():
+    rng = np.random.default_rng(2)
+    svals = np.ones(100)
+    svals[-1] = 1e-10
+    K = _with_singular_values(rng, svals)
+    assert not nepsolve.suite._gram_certifies(K.copy())
+    assert not nepsolve.suite._well_conditioned(K)
+
+
+def test_gram_certificate_accepts_only_what_the_svd_accepts():
+    # small full matrices with mixed blocks scaled up to 100x; every other
+    # draw has its smallest singular value planted at 1e-10..1e-4 of the
+    # largest, across the boundaries of both rules
+    rng = np.random.default_rng(2024)
+    counts = {"certified": 0, "deferred-accepted": 0, "rejected": 0}
+    for draw in range(2000):
+        n1, n2 = (int(v) for v in rng.integers(1, 9, size=2))
+        scale = 10.0 ** rng.uniform(0.0, 2.0)
+        A1 = nepsolve.suite._random_spd(rng, n1)
+        A2 = nepsolve.suite._random_spd(rng, n2)
+        B1 = scale * rng.uniform(-1.0, 1.0, size=(n1, n2))
+        B2 = scale * rng.uniform(-1.0, 1.0, size=(n2, n1))
+        K = np.block([[A1, B1], [B2, A2]])
+        if draw % 2:
+            u, svals, vt = np.linalg.svd(K)
+            svals[-1] = svals[0] * 10.0 ** rng.uniform(-10.0, -4.0)
+            K = (u * svals) @ vt
+        svals = np.linalg.svd(K, compute_uv=False)
+        svd_accepts = svals[-1] > 1e-8 * svals[0]
+        if nepsolve.suite._gram_certifies(K.copy()):
+            assert svd_accepts, (draw, svals[-1] / svals[0])
+            counts["certified"] += 1
+        else:
+            counts["deferred-accepted" if svd_accepts else "rejected"] += 1
+    assert min(counts.values()) >= 100, counts
+
+
+def test_generation_fails_after_100_rejected_draws(monkeypatch):
+    calls = []
+
+    def reject(K):
+        calls.append(K.shape)
+        return False
+
+    monkeypatch.setattr(nepsolve.suite, "_well_conditioned", reject)
+    with pytest.raises(GenerationFailure):
+        random_quadratic_nep(2, 3, seed=0)
+    assert calls == [(5, 5)] * 100
+
+
+#: the 11 games of a seed-0 quadratic-dense benchmark round
+SEED0_DENSE_IDS = (
+    "quadratic:1826701615:150x150",
+    "quadratic:1367864807:150x150",
+    "quadratic:1097657232:150x150",
+    "quadratic:579362556:150x150",
+    "quadratic:661058652:200x200",
+    "quadratic:87989972:250x250",
+    "quadratic:161576974:250x250",
+    "quadratic:35492827:20x20",
+    "quadratic:376383645:20x20",
+    "quadratic:1:40x40",
+    "quadratic:0:100x100",
+)
+
+
+def test_seed0_dense_games_need_no_svd(monkeypatch):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    for game_id in SEED0_DENSE_IDS:
+        get_problem(game_id)
+    assert len(calls) == 0
+
+
+def _game_digest(game_id):
+    _, seed, dims = game_id.split(":")
+    n1, n2 = (int(v) for v in dims.split("x"))
+    q = random_quadratic_nep(n1, n2, int(seed))
+    h = hashlib.sha256()
+    for a in (q.A1, q.A2, q.B1, q.B2, q.c1, q.c2):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+#: sha256 of the bytes of A1, A2, B1, B2, c1, c2, in this order. Games up to
+#: 40 x 40 have these bits at any BLAS thread count; the larger ones were
+#: recorded with OpenBLAS on one thread, because the QR and the products
+#: of `_random_spd` change their bits with the thread count
+GAME_DIGESTS = {
+    "quadratic:0:5x5": "555d28c961db69a34fe5582f6c56c586e284deef8169c10db9da57f9e01f1e4b",
+    "quadratic:3:30x30": "e487310aeb11f59963198da8edbb46fa43faad0a48efb750912c3de01efd4c17",
+    "quadratic:1:40x40": "c9f2b23a0ca507c5e29ad6df34b8583ff6ddb18a3ffd68965ff80c2ef1547d62",
+}
+GAME_DIGESTS_ONE_THREAD = {
+    "quadratic:0:100x100": "5587a3f032c548325381dd80cdd31368c72ce3736f56549feaaedc21569ae11e",
+    "quadratic:1:150x150": "8668a386cc5d3aedbadd555966c061d0301d3a1f8941f0067343fd7b33dba007",
+    "quadratic:87989972:250x250": "a3e5267fe276aa73902653cccdbae1ad2a62a1ac32c554651e4d655ea64625e7",
+}
+
+
+@pytest.mark.parametrize("game_id", sorted(GAME_DIGESTS))
+def test_generated_game_bits(game_id):
+    assert _game_digest(game_id) == GAME_DIGESTS[game_id]
+
+
+def test_generated_dense_game_bits_on_one_blas_thread():
+    src = str(Path(nepsolve.suite.__file__).resolve().parents[1])
+    tests = str(Path(__file__).resolve().parent)
+    code = (
+        f"import sys; sys.path[:0] = [{src!r}, {tests!r}]; "
+        "from test_suite import _game_digest; "
+        f"[print(g, _game_digest(g)) for g in {sorted(GAME_DIGESTS_ONE_THREAD)!r}]"
+    )
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    digests = dict(line.split() for line in out.stdout.splitlines())
+    assert digests == GAME_DIGESTS_ONE_THREAD
 
 
 def test_registry_ids_resolve():
