@@ -8,8 +8,8 @@ starts; `diagnose` runs a solve and then the assumption/lemma certificates.
 Exit codes: 0 converged, 2 diverged, 3 iteration cap, 4 line-search failure,
 5 undefined step (status `undefined`: a singular system, failed inner solve
 or overflowing Hessian shift), 64 usage error (an unknown flag, a flag value
-the config or the diagnostics reject, a bad --x0), 65 unknown or malformed
-problem id.
+the config or the diagnostics reject, a diagnose box on which the problem's
+values are not finite, a bad --x0), 65 unknown or malformed problem id.
 """
 
 import argparse
@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_exact_jacobi, solve_newton_kkt
-from .core import PointKind
+from .core import NonFiniteEvaluation, PointKind
 from .diagnostics import (
     estimate_assumptions,
     monitor_stepsizes,
@@ -300,7 +300,7 @@ def cmd_diagnose(args):
     box = (args.box_low, args.box_high)
     try:
         estimates = estimate_assumptions(problem, box, args.samples, args.seed)
-    except ValueError as err:
+    except (ValueError, NonFiniteEvaluation) as err:
         raise UsageError(str(err)) from None
     payload = {
         "problem": args.problem,

@@ -10,23 +10,23 @@ mixed-block norms at - and for the ratio bounds, along - the step), which is
 the sharpest form the bounds hold in.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import NonFiniteEvaluation
+from .core import _require_finite
 from .solver import build_surrogates, safeguard_mixed_blocks
 from .linalg import assemble_block_system, spectral_bounds_sym
+
+_LEMMAS = ("block-norms", "direction-bound", "gradient-comparability", "ratio-bounds")
+_PLAYERS = ("player1", "player2")
+#: where estimate_assumptions reads its oracles, for NonFiniteEvaluation messages
+_IN_BOX = "an oracle inside the sample box"
 
 #: multiplicative slack for floating-point comparisons of certified bounds
 _SLACK = 1e-9
 _ABS_SLACK = 1e-12
-
-
-def _beyond(value, lo=-np.inf, hi=np.inf):
-    """Whether value lies below lo or above hi by more than the slack."""
-    return value < lo * (1.0 - _SLACK) - _ABS_SLACK or value > hi * (1.0 + _SLACK) + _ABS_SLACK
 
 
 @dataclass
@@ -51,16 +51,7 @@ class AssumptionEstimates:
     c_k: Optional[tuple] = None
 
     def to_dict(self):
-        return {
-            "c_h": self.c_h,
-            "grad_lipschitz": self.grad_lipschitz,
-            "c_r": self.c_r,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "mu_min": self.mu_min,
-            "mu_max": self.mu_max,
-            "c_k": None if self.c_k is None else list(self.c_k),
-        }
+        return asdict(self)
 
 
 def _box_bounds(box, n):
@@ -78,7 +69,8 @@ def estimate_assumptions(problem, box, samples, seed):
     """Max-sampled estimates of the assumption constants over a box.
 
     Estimates grow monotonically with the sample count for a fixed seed
-    (draws are consumed in a fixed per-sample order).
+    (draws are consumed in a fixed per-sample order). Raises
+    NonFiniteEvaluation when any oracle read, a probe included, is not finite.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
@@ -99,29 +91,25 @@ def estimate_assumptions(problem, box, samples, seed):
 
         x1, x2 = x[:n1], x[n1:]
         point = problem.at(x1, x2)
-        m1 = point.mixed12
-        m2 = point.mixed21
-        g1 = point.grad1
-        g2 = point.grad2
-        if not all(
-            np.all(np.isfinite(v)) for v in (m1, m2, g1, g2)
-        ):
-            raise NonFiniteEvaluation("non-finite oracle value inside the sample box")
+        m1, m2, g1, g2 = (
+            _require_finite(v, _IN_BOX)
+            for v in (point.mixed12, point.mixed21, point.grad1, point.grad2)
+        )
         c_h = max(c_h, np.linalg.norm(m1, 2), np.linalg.norm(m2, 2))
 
         dist1 = np.linalg.norm(a1 - x1)
         if dist1 > 1e-12:
-            lipschitz = max(
-                lipschitz, np.linalg.norm(problem.at(a1, x2).grad1 - g1) / dist1
-            )
+            probe = _require_finite(problem.at(a1, x2).grad1, _IN_BOX)
+            lipschitz = max(lipschitz, np.linalg.norm(probe - g1) / dist1)
         dist2 = np.linalg.norm(a2 - x2)
         if dist2 > 1e-12:
-            lipschitz = max(
-                lipschitz, np.linalg.norm(problem.at(x1, a2).grad2 - g2) / dist2
-            )
+            probe = _require_finite(problem.at(x1, a2).grad2, _IN_BOX)
+            lipschitz = max(lipschitz, np.linalg.norm(probe - g2) / dist2)
 
-        r1 = problem.at(x1, x2 + t * d2).grad1 - g1 - t * (m1 @ d2)
-        r2 = problem.at(x1 + t * d1, x2).grad2 - g2 - t * (m2 @ d1)
+        p1 = _require_finite(problem.at(x1, x2 + t * d2).grad1, _IN_BOX)
+        p2 = _require_finite(problem.at(x1 + t * d1, x2).grad2, _IN_BOX)
+        r1 = p1 - g1 - t * (m1 @ d2)
+        r2 = p2 - g2 - t * (m2 @ d1)
         sq1 = t * t * float(d2 @ d2)
         sq2 = t * t * float(d1 @ d1)
         if sq1 > 0:
@@ -161,15 +149,7 @@ class LemmaCheckReport:
             "ok": self.ok,
             "checked": dict(self.checked),
             "skipped": dict(self.skipped),
-            "violations": [
-                {
-                    "iterate": v.iterate,
-                    "lemma": v.lemma,
-                    "detail": v.detail,
-                    "margin": v.margin,
-                }
-                for v in self.violations
-            ],
+            "violations": [asdict(v) for v in self.violations],
             "estimates": self.estimates.to_dict(),
         }
 
@@ -199,6 +179,53 @@ def _segment_mixed_norm(problem, x1, x2, t, d1, d2, pred1, pred2):
     return best
 
 
+def _mu_bounds(lam_lo, lam_hi, c_h):
+    """mu_min = sqrt(2) / lambda_lo and mu_max = sqrt(lambda_hi^2 +
+    4 lambda_hi c_h + c_h^2), the bounds on the block matrix's singular
+    values. Computed in float64, so a bound that overflows reads inf."""
+    lam_lo, lam_hi, c_h = np.float64(lam_lo), np.float64(lam_hi), np.float64(c_h)
+    with np.errstate(over="ignore"):
+        return np.sqrt(2.0) / lam_lo, np.sqrt(lam_hi**2 + 4.0 * lam_hi * c_h + c_h**2)
+
+
+def _player_step_bound(t_small, gn, c, c_k):
+    """Step-length hypothesis of a per-player lemma: t <= min(t_small, ||g_i|| / (c c_k))."""
+    return min(t_small, gn / (c * c_k)) if c > 0 and c_k > 0 else t_small
+
+
+class _Tally:
+    """Checked/skipped counts per lemma and the violations found so far."""
+
+    def __init__(self):
+        self.checked = dict.fromkeys(_LEMMAS, 0)
+        self.skipped = dict.fromkeys(_LEMMAS, 0)
+        self.violations = []
+
+    def count(self, lemma, hypothesis):
+        """Count one iterate as checked or skipped for lemma; return hypothesis."""
+        (self.checked if hypothesis else self.skipped)[lemma] += 1
+        return hypothesis
+
+    def bound(self, k, lemma, what, value, lo=-np.inf, hi=np.inf):
+        """Record a violation at iterate k if value lies below lo or above hi
+        by more than the slack (a NaN value never does). The margin is the
+        distance past the violated bound. A bound with one finite side reads
+        "< lo" or "> hi", a two-sided one "outside [lo, hi]".
+        """
+        if not (
+            value < lo * (1.0 - _SLACK) - _ABS_SLACK or value > hi * (1.0 + _SLACK) + _ABS_SLACK
+        ):
+            return
+        if hi == np.inf:
+            relation = f"< {lo:.6e}"
+        elif lo == -np.inf:
+            relation = f"> {hi:.6e}"
+        else:
+            relation = f"outside [{lo:.6e}, {hi:.6e}]"
+        margin = max(lo - value, value - hi)
+        self.violations.append(LemmaViolation(k, lemma, f"{what} {value:.6e} {relation}", margin))
+
+
 def verify_lemma_bounds(run, est):
     """Re-check the bound-style lemma conclusions on a run's trajectory.
 
@@ -217,17 +244,14 @@ def verify_lemma_bounds(run, est):
     if not run.trajectory:
         raise ValueError("trajectory is empty")
 
-    names = ("block-norms", "direction-bound", "gradient-comparability", "ratio-bounds")
-    checked = {n: 0 for n in names}
-    skipped = {n: 0 for n in names}
-    violations = []
-
+    tally = _Tally()
     lam_lo_run = np.inf
     lam_hi_run = -np.inf
     c_h_run = est.c_h
     c_k_values = []
 
     for rec in run.trajectory:
+        k, t = rec.k, rec.t
         point = problem.at(rec.x1, rec.x2)
         H1, H2 = build_surrogates(point, config)
         lo1, hi1 = spectral_bounds_sym(H1.matrix)
@@ -242,84 +266,34 @@ def verify_lemma_bounds(run, est):
         c_h_point = max(np.linalg.norm(mixed1, 2), np.linalg.norm(mixed2, 2))
         c_h_run = max(c_h_run, c_h_point)
 
-        g1n = float(np.linalg.norm(rec.g1))
-        g2n = float(np.linalg.norm(rec.g2))
-        mu_min = np.sqrt(2.0) / lam_lo
-        c_k = mu_min * (g1n + g2n)
+        g_norms = (float(np.linalg.norm(rec.g1)), float(np.linalg.norm(rec.g2)))
+        mu_min, mu_max = _mu_bounds(lam_lo, lam_hi, c_h_point)
+        c_k = mu_min * (g_norms[0] + g_norms[1])
         c_k_values.append(c_k)
-
-        t = rec.t
-        d = np.concatenate([rec.d1, rec.d2])
-        M1, M2 = safeguard_mixed_blocks(g1n, g2n, t, config, mixed1, mixed2)
-        Htk = assemble_block_system(H1, H2, M1, M2, t)
 
         # norm bound on the block matrix holds for every t in (0, 1]; the
         # largest singular value is np.linalg.norm(Htk, 2), bit for bit
-        mu_max = np.sqrt(lam_hi**2 + 4.0 * lam_hi * c_h_point + c_h_point**2)
+        M1, M2 = safeguard_mixed_blocks(g_norms[0], g_norms[1], t, config, mixed1, mixed2)
+        Htk = assemble_block_system(H1, H2, M1, M2, t)
         sigma = np.linalg.svd(Htk, compute_uv=False)
-        hnorm = sigma[0]
-        if _beyond(hnorm, hi=mu_max):
-            violations.append(
-                LemmaViolation(rec.k, "block-norms", f"||H_t|| = {hnorm:.6e} > {mu_max:.6e}", hnorm - mu_max)
-            )
+        tally.bound(k, "block-norms", "||H_t|| =", sigma[0], hi=mu_max)
 
         t_small = lam_lo**2 / (8.0 * lam_hi * c_h_point) if c_h_point > 0 else np.inf
-        if t <= t_small:
-            checked["block-norms"] += 1
-            sigma_min = sigma[-1]
+        if tally.count("block-norms", t <= t_small):
             floor = lam_lo / np.sqrt(2.0)
-            if _beyond(sigma_min, lo=floor):
-                violations.append(
-                    LemmaViolation(
-                        rec.k,
-                        "block-norms",
-                        f"smallest singular value {sigma_min:.6e} < {floor:.6e}",
-                        floor - sigma_min,
-                    )
-                )
-            checked["direction-bound"] += 1
-            dnorm = np.linalg.norm(d)
-            if _beyond(dnorm, hi=c_k):
-                violations.append(
-                    LemmaViolation(
-                        rec.k,
-                        "direction-bound",
-                        f"||d|| = {dnorm:.6e} > {c_k:.6e}",
-                        dnorm - c_k,
-                    )
-                )
-        else:
-            skipped["block-norms"] += 1
-            skipped["direction-bound"] += 1
+            tally.bound(k, "block-norms", "smallest singular value", sigma[-1], lo=floor)
+        if tally.count("direction-bound", t <= t_small):
+            dnorm = np.linalg.norm(np.concatenate([rec.d1, rec.d2]))
+            tally.bound(k, "direction-bound", "||d|| =", dnorm, hi=c_k)
 
         # comparability of g_i with H_i d_i, per player
-        any_checked = False
-        for label, g_i, H_i, d_i in (
-            ("player1", rec.g1, H1, rec.d1),
-            ("player2", rec.g2, H2, rec.d2),
-        ):
-            gn = float(np.linalg.norm(g_i))
-            bound = (
-                min(t_small, gn / (2.0 * c_h_point * c_k))
-                if c_h_point > 0 and c_k > 0
-                else t_small
-            )
-            if t <= bound:
-                any_checked = True
+        hyps = [t <= _player_step_bound(t_small, gn, 2.0 * c_h_point, c_k) for gn in g_norms]
+        tally.count("gradient-comparability", any(hyps))
+        for label, gn, H_i, d_i, hyp in zip(_PLAYERS, g_norms, (H1, H2), (rec.d1, rec.d2), hyps):
+            if hyp:
                 hd = float(np.linalg.norm(H_i.matrix @ d_i))
-                lo_b = 0.5 * gn
-                hi_b = 1.5 * gn
-                if _beyond(hd, lo_b, hi_b):
-                    violations.append(
-                        LemmaViolation(
-                            rec.k,
-                            "gradient-comparability",
-                            f"{label}: ||H d|| = {hd:.6e} outside [{lo_b:.6e}, {hi_b:.6e}]",
-                            max(lo_b - hd, hd - hi_b),
-                        )
-                    )
-        checked["gradient-comparability"] += int(any_checked)
-        skipped["gradient-comparability"] += int(not any_checked)
+                what = f"{label}: ||H d|| ="
+                tally.bound(k, "gradient-comparability", what, hd, 0.5 * gn, 1.5 * gn)
 
         # two-sided direction/gradient ratio at the predicted points
         pred1 = problem.at(rec.x1, rec.x2 + t * rec.d2)
@@ -328,60 +302,31 @@ def verify_lemma_bounds(run, est):
             c_h_point,
             _segment_mixed_norm(problem, rec.x1, rec.x2, t, rec.d1, rec.d2, pred1, pred2),
         )
-        p1 = pred1.grad1
-        p2 = pred2.grad2
-        any_checked = False
-        for label, g_i, p_i, d_i in (
-            ("player1", rec.g1, p1, rec.d1),
-            ("player2", rec.g2, p2, rec.d2),
-        ):
-            gn = float(np.linalg.norm(g_i))
-            bound = (
-                min(t_small, gn / (8.0 * c_h_seg * c_k))
-                if c_h_seg > 0 and c_k > 0
-                else t_small
-            )
-            if t <= bound:
-                any_checked = True
+        hyps = [t <= _player_step_bound(t_small, gn, 8.0 * c_h_seg, c_k) for gn in g_norms]
+        tally.count("ratio-bounds", any(hyps))
+        preds = (pred1.grad1, pred2.grad2)
+        for label, p_i, d_i, hyp in zip(_PLAYERS, preds, (rec.d1, rec.d2), hyps):
+            if hyp:
                 pn = float(np.linalg.norm(p_i))
                 dn = float(np.linalg.norm(d_i))
-                gamma_lo = 2.0 / (3.0 * lam_hi)
-                beta_hi = 2.0 / lam_lo
-                if _beyond(dn, lo=gamma_lo * pn):
-                    violations.append(
-                        LemmaViolation(
-                            rec.k,
-                            "ratio-bounds",
-                            f"{label}: ||d|| = {dn:.6e} < {gamma_lo * pn:.6e}",
-                            gamma_lo * pn - dn,
-                        )
-                    )
-                if _beyond(dn, hi=beta_hi * pn):
-                    violations.append(
-                        LemmaViolation(
-                            rec.k,
-                            "ratio-bounds",
-                            f"{label}: ||d|| = {dn:.6e} > {beta_hi * pn:.6e}",
-                            dn - beta_hi * pn,
-                        )
-                    )
-        checked["ratio-bounds"] += int(any_checked)
-        skipped["ratio-bounds"] += int(not any_checked)
+                what = f"{label}: ||d|| ="
+                tally.bound(k, "ratio-bounds", what, dn, lo=2.0 / (3.0 * lam_hi) * pn)
+                tally.bound(k, "ratio-bounds", what, dn, hi=2.0 / lam_lo * pn)
 
-    estimates = AssumptionEstimates(
+    mu_min, mu_max = _mu_bounds(lam_lo_run, lam_hi_run, c_h_run)
+    estimates = replace(
+        est,
         c_h=float(c_h_run),
-        grad_lipschitz=est.grad_lipschitz,
-        c_r=est.c_r,
         lambda_min=float(lam_lo_run),
         lambda_max=float(lam_hi_run),
-        mu_min=float(np.sqrt(2.0) / lam_lo_run),
-        mu_max=float(np.sqrt(lam_hi_run**2 + 4.0 * lam_hi_run * c_h_run + c_h_run**2)),
+        mu_min=float(mu_min),
+        mu_max=float(mu_max),
         c_k=tuple(c_k_values),
     )
     return LemmaCheckReport(
-        violations=tuple(violations),
-        checked=checked,
-        skipped=skipped,
+        violations=tuple(tally.violations),
+        checked=tally.checked,
+        skipped=tally.skipped,
         estimates=estimates,
     )
 

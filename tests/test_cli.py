@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import pathlib
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -84,6 +86,38 @@ def test_bad_input_exit_code_writes_nothing(tmp_path, capsys, args, code):
     assert run_cli(args, tmp_path)[0] == code
     assert not (tmp_path / "out").exists()
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound, code", [("1e100", 64), ("1e60", 0)])
+def test_diagnose_huge_box_ends_without_traceback(tmp_path, bound, code):
+    # in a fresh interpreter: pytest's filterwarnings would turn the overflow
+    # warnings of examp5's oracles on such a box into errors
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    args = ["diagnose", "--problem", "examp5", f"--box-low=-{bound}", f"--box-high={bound}"]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); "
+            "from nepsolve.cli import main; sys.exit(main(sys.argv[1:]))",
+            *args,
+            "--out-dir",
+            str(out),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 64:
+        # examp5's values overflow on a 1e100 box
+        assert "inside the sample box" in proc.stderr
+        assert not out.exists()
+    else:
+        # the run-level mu_max overflows and reads Infinity
+        payload = json.loads((out / "examp5_descent-newton_diagnose.json").read_text())
+        assert payload["lemma_report"]["estimates"]["mu_max"] == float("inf")
 
 
 #: nepsolve.cli module globals that bench/tracing.py replaces while tracing;

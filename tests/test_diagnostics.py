@@ -1,10 +1,18 @@
+import hashlib
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import nepsolve.diagnostics as diagnostics
 from nepsolve import (
+    NepProblem,
+    NonFiniteEvaluation,
     SolveStatus,
     SolverConfig,
     estimate_assumptions,
+    get_problem,
     make_example,
     monitor_stepsizes,
     partial_direction_sums,
@@ -14,6 +22,7 @@ from nepsolve import (
     solve_newton_kkt,
     verify_lemma_bounds,
 )
+from nepsolve.cli import PAPER_STARTS
 from nepsolve.solver import IterateRecord, LineSearchCertificate, SolveReport
 
 
@@ -44,6 +53,24 @@ def test_estimates_validation():
         estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=1, seed=0)
     with pytest.raises(ValueError):
         estimate_assumptions(make_example(1), box=(5.0, -5.0), samples=10, seed=0)
+
+
+def test_estimates_reject_non_finite_probe_read():
+    # every sampled base point has x1 <= 4, but one Lipschitz probe has not
+    problem = NepProblem(
+        n1=1,
+        n2=1,
+        f1=lambda x1, x2: x1[0] ** 2,
+        f2=lambda x1, x2: x2[0] ** 2,
+        grad1=lambda x1, x2: np.array([2.0 * x1[0] if x1[0] <= 4.0 else np.nan]),
+        grad2=lambda x1, x2: np.array([2.0 * x2[0]]),
+        hess11=lambda x1, x2: np.array([[2.0]]),
+        hess22=lambda x1, x2: np.array([[2.0]]),
+        hess12_f1=lambda x1, x2: np.array([[0.0]]),
+        hess21_f2=lambda x1, x2: np.array([[0.0]]),
+    )
+    with pytest.raises(NonFiniteEvaluation, match="inside the sample box"):
+        estimate_assumptions(problem, box=(-5.0, 5.0), samples=3, seed=0)
 
 
 def test_lemma_checks_skipped_when_hypothesis_fails():
@@ -170,3 +197,99 @@ def test_partial_direction_sums():
     s1, s2 = partial_direction_sums(report)
     assert s1 > 0 and s2 > 0
     assert s1 == pytest.approx(sum(np.linalg.norm(r.d1) for r in report.trajectory))
+
+
+# ---------------------------------------------------------------------------
+# violations on mutated runs: a checker that always said OK fails these
+# ---------------------------------------------------------------------------
+
+#: (t scale, d scale) applied to every record of a run
+MUTATIONS = {
+    "none": (1.0, 1.0),
+    "d*10": (1.0, 10.0),
+    "d*0.01": (1.0, 0.01),
+    "d*3": (1.0, 3.0),
+    "d*0.3": (1.0, 0.3),
+    "t/4096": (1.0 / 4096, 1.0),
+    "t/4096 d*0.3": (1.0 / 4096, 0.3),
+    "t/4096 d*3": (1.0 / 4096, 3.0),
+    "t*100": (100.0, 1.0),
+}
+
+
+def _paper_run(problem_id):
+    problem = get_problem(problem_id)
+    x0 = PAPER_STARTS[problem_id]
+    report = solve(problem, x0[: problem.n1], x0[problem.n1 :])
+    return report, estimate_assumptions(problem, box=(-5.0, 5.0), samples=20, seed=0)
+
+
+def _mutated(report, mutation):
+    t_scale, d_scale = MUTATIONS[mutation]
+    trajectory = tuple(
+        replace(rec, t=rec.t * t_scale, d1=rec.d1 * d_scale, d2=rec.d2 * d_scale)
+        for rec in report.trajectory
+    )
+    return replace(report, trajectory=trajectory)
+
+
+@pytest.mark.parametrize(
+    "mutation, lemma, iterate, detail",
+    [
+        ("d*10", "direction-bound", 6, "||d|| = 1.282653e+00 > 2.569154e-01"),
+        (
+            "d*10",
+            "gradient-comparability",
+            6,
+            "player1: ||H d|| = 9.083351e-01 outside [4.548488e-02, 1.364546e-01]",
+        ),
+        (
+            "d*0.01",
+            "gradient-comparability",
+            6,
+            "player1: ||H d|| = 9.083351e-04 outside [4.548488e-02, 1.364546e-01]",
+        ),
+        ("t/4096 d*0.3", "ratio-bounds", 3, "player2: ||d|| = 6.524460e-03 < 1.252388e-01"),
+        ("t/4096 d*3", "ratio-bounds", 3, "player1: ||d|| = 6.859267e+00 > 3.937626e+00"),
+        ("t*100", "block-norms", 0, "||H_t|| = 2.500538e+03 > 1.236972e+02"),
+    ],
+    ids=["direction", "comparability-high", "comparability-low", "ratio-low", "ratio-high", "norm"],
+)
+def test_mutated_example5_run_reports_violation(mutation, lemma, iterate, detail):
+    report, est = _paper_run("examp5")
+    check = verify_lemma_bounds(_mutated(report, mutation), est)
+    assert not check.ok
+    first = next(v for v in check.violations if v.lemma == lemma)
+    assert (first.iterate, first.detail) == (iterate, detail)
+    assert first.margin > 0
+    assert f"VIOLATION k={iterate} {lemma}: {detail}" in str(check)
+
+
+def test_singular_value_floor_violation(monkeypatch):
+    # no record mutation moves the recomputed block matrix, so shrink it
+    report, est = _paper_run("examp5")
+    assemble = diagnostics.assemble_block_system
+    monkeypatch.setattr(
+        diagnostics, "assemble_block_system", lambda *args: 1e-3 * assemble(*args)
+    )
+    check = verify_lemma_bounds(report, est)
+    floors = [v for v in check.violations if v.detail.startswith("smallest singular value")]
+    assert [v.iterate for v in floors] == [6, 7]
+    assert check.checked["block-norms"] == 2
+    assert all(v.lemma == "block-norms" and v.margin > 0 for v in floors)
+    assert len(floors) == len(check.violations)
+
+
+#: sha256 of the examp5 and facility2d lemma reports (to_dict() as JSON,
+#: then str()) under every mutation in MUTATIONS, in that order
+MUTATED_REPORTS_SHA256 = "3403a819d187c7465fcdebb6be2b9fe8b64ea850e7263dad8053b3f2cc254dc8"
+
+
+def test_mutated_lemma_reports_are_byte_identical():
+    digest = hashlib.sha256()
+    for problem_id in ("examp5", "facility2d"):
+        report, est = _paper_run(problem_id)
+        for mutation in MUTATIONS:
+            check = verify_lemma_bounds(_mutated(report, mutation), est)
+            digest.update(f"{json.dumps(check.to_dict())}\n{check}\n".encode())
+    assert digest.hexdigest() == MUTATED_REPORTS_SHA256

@@ -180,6 +180,17 @@ TABLE1_SHA256 = "9ff3f8f39c7c9a28747cc7709f278241befc63b8a3a588b17c150237648c732
 FACILITY_BENCH_SHA256 = "33b833870488511f2c6172a2c047fbeeefe403161f4c9e4a7682bfc84165bb08"
 
 
+#: sha256 of `nepsolve diagnose --problem <id> --solver <solver>`'s JSON
+#: (default flags); facility2d's is the same under 1 and 2 BLAS threads
+DIAGNOSE_SHA256 = {
+    ("examp1", "descent-newton"): "5da250b90c3b9c4750b7243edc635bba338a60427dc8a6a4c61040579f5399c1",
+    ("examp5", "descent-newton"): "0e4b3e1dbc5820262f5d3a62d13d5e911024e09049b1e52b719eebe212e3770a",
+    ("facility2d", "descent-newton"): "36a720333a60dc3429d817d83e99a7b60ca00d56985f5a45a7c877fbab449e02",
+    ("examp1", "newton-kkt"): "1a9b9865d44d981d2fad62b4c10fb72fed644b9bb4cff52b741fa9bafcd993cb",
+    ("examp1", "exact-jacobi"): "0d5c9eb8927cb36bfe80e355ed0ebf6702301961475cd7287b21b34278b634f4",
+}
+
+
 def _sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -201,3 +212,10 @@ def test_facility_bench_csv_is_byte_identical(tmp_path):
     args = ["facility-bench", "--runs", "100", "--seed", "0", "--out-dir", str(tmp_path)]
     assert main(args) == 0
     assert _sha256(tmp_path / "facility_bench.csv") == FACILITY_BENCH_SHA256
+
+
+@pytest.mark.parametrize("problem_id,solver", sorted(DIAGNOSE_SHA256))
+def test_diagnose_json_is_byte_identical(tmp_path, problem_id, solver):
+    main(["diagnose", "--problem", problem_id, "--solver", solver, "--out-dir", str(tmp_path)])
+    got = _sha256(tmp_path / f"{problem_id}_{solver}_diagnose.json")
+    assert got == DIAGNOSE_SHA256[problem_id, solver]
