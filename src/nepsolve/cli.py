@@ -99,26 +99,33 @@ def run_solver(problem, solver, x1, x2, config):
     raise UsageError(f"unknown solver {solver!r}")
 
 
+def _plain(value):
+    """A dataclass as a dict of its fields in field order (vars() lists them
+    in the order __init__ sets them), a tuple as a list and an ndarray as a
+    list of floats, recursively; anything else as it is."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {name: _plain(v) for name, v in vars(value).items()}
+    return value
+
+
 def report_to_dict(report, problem_id, solver):
-    cls = report.classification
-    cfg = report.config
+    # record, certificate and config keys are the dataclasses' field names
+    cls, cfg = report.classification, report.config
+    config = _plain(cfg)
+    del config["user_h1"], config["user_h2"]
+    config["hessian_strategy"] = "modified-exact" if cfg.user_h1 is None else "user-supplied"
     return {
         "problem": problem_id,
         "solver": solver,
         "status": report.status.value,
-        "config": {
-            "alpha": cfg.alpha,
-            "theta": cfg.theta,
-            "gamma": cfg.gamma,
-            "tau": cfg.tau,
-            "grad_tol": cfg.grad_tol,
-            "max_iter": cfg.max_iter,
-            "divergence_radius": cfg.divergence_radius,
-            "hessian_strategy": "modified-exact" if cfg.user_h1 is None else "user-supplied",
-        },
+        "config": config,
         "iterations": report.iterations,
-        "final_x1": list(report.final_x1),
-        "final_x2": list(report.final_x2),
+        "final_x1": _plain(report.final_x1),
+        "final_x2": _plain(report.final_x2),
         "final_residual": report.final_residual,
         "classification": None
         if cls is None
@@ -127,27 +134,7 @@ def report_to_dict(report, problem_id, solver):
             "min_eig_1": cls.min_eig_1,
             "min_eig_2": cls.min_eig_2,
         },
-        "trajectory": [
-            {
-                "k": rec.k,
-                "x1": list(rec.x1),
-                "x2": list(rec.x2),
-                "g1": list(rec.g1),
-                "g2": list(rec.g2),
-                "t": rec.t,
-                "d1": list(rec.d1),
-                "d2": list(rec.d2),
-                "certificate": None
-                if rec.certificate is None
-                else {
-                    "t": rec.certificate.t,
-                    "checks": list(rec.certificate.checks),
-                    "backtracks": rec.certificate.backtracks,
-                    "singular_halvings": rec.certificate.singular_halvings,
-                },
-            }
-            for rec in report.trajectory
-        ],
+        "trajectory": _plain(report.trajectory),
     }
 
 
@@ -260,6 +247,8 @@ def cmd_facility_bench(args):
     among converged runs. Starts are drawn once and shared across solvers.
     """
     solvers = tuple(s.strip() for s in args.solvers.split(",") if s.strip())
+    if not solvers:
+        raise UsageError(f"--solvers {args.solvers!r} names no solver")
     for s in solvers:
         if s not in SOLVERS:
             raise UsageError(f"unknown solver {s!r}")
@@ -309,25 +298,15 @@ def cmd_diagnose(args):
         "iterations": report.iterations,
         "box": [float(box[0]), float(box[1])],
         "samples": args.samples,
-        "estimates": estimates.to_dict(),
+        "estimates": _plain(estimates),
         "converged_in_one_iteration": report.status is SolveStatus.CONVERGED
         and report.iterations == 1,
     }
     if report.trajectory:
         lemma_report = verify_lemma_bounds(report, estimates)
-        steps = monitor_stepsizes(report)
-        s1, s2 = partial_direction_sums(report)
-        payload.update(
-            {
-                "lemma_report": None if lemma_report is None else lemma_report.to_dict(),
-                "stepsizes": {
-                    "t_min_observed": steps.t_min_observed,
-                    "bounded_away_flag": steps.bounded_away_flag,
-                },
-                "partial_sum_d1": s1,
-                "partial_sum_d2": s2,
-            }
-        )
+        payload["lemma_report"] = None if lemma_report is None else lemma_report.to_dict()
+        payload["stepsizes"] = _plain(monitor_stepsizes(report))
+        payload["partial_sum_d1"], payload["partial_sum_d2"] = partial_direction_sums(report)
         if lemma_report is None:
             print(
                 f"lemma certificates: none, {report.solver} solves no surrogate system "

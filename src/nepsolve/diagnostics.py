@@ -50,9 +50,6 @@ class AssumptionEstimates:
     mu_max: Optional[float] = None
     c_k: Optional[tuple] = None
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def _box_bounds(box, n):
     lo, hi = box
@@ -63,6 +60,18 @@ def _box_bounds(box, n):
     if np.any(hi <= lo):
         raise ValueError("box upper bounds must exceed lower bounds")
     return lo, hi
+
+
+def _finite_norm(v):
+    """np.linalg.norm(v), bit for bit, unless its squares overflow: then a
+    finite v is scaled by its largest magnitude first, so its norm is inf
+    only when the norm itself passes the float range."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+        if np.isinf(norm) and np.all(np.isfinite(v)):
+            scale = np.max(np.abs(v))
+            norm = scale * np.linalg.norm(v / scale)
+    return norm
 
 
 def estimate_assumptions(problem, box, samples, seed):
@@ -97,14 +106,14 @@ def estimate_assumptions(problem, box, samples, seed):
         )
         c_h = max(c_h, np.linalg.norm(m1, 2), np.linalg.norm(m2, 2))
 
-        dist1 = np.linalg.norm(a1 - x1)
+        dist1 = _finite_norm(a1 - x1)
         if dist1 > 1e-12:
             probe = _require_finite(problem.at(a1, x2).grad1, _IN_BOX)
-            lipschitz = max(lipschitz, np.linalg.norm(probe - g1) / dist1)
-        dist2 = np.linalg.norm(a2 - x2)
+            lipschitz = max(lipschitz, _finite_norm(probe - g1) / dist1)
+        dist2 = _finite_norm(a2 - x2)
         if dist2 > 1e-12:
             probe = _require_finite(problem.at(x1, a2).grad2, _IN_BOX)
-            lipschitz = max(lipschitz, np.linalg.norm(probe - g2) / dist2)
+            lipschitz = max(lipschitz, _finite_norm(probe - g2) / dist2)
 
         p1 = _require_finite(problem.at(x1, x2 + t * d2).grad1, _IN_BOX)
         p2 = _require_finite(problem.at(x1 + t * d1, x2).grad2, _IN_BOX)
@@ -113,9 +122,9 @@ def estimate_assumptions(problem, box, samples, seed):
         sq1 = t * t * float(d2 @ d2)
         sq2 = t * t * float(d1 @ d1)
         if sq1 > 0:
-            c_r = max(c_r, np.linalg.norm(r1) / sq1)
+            c_r = max(c_r, _finite_norm(r1) / sq1)
         if sq2 > 0:
-            c_r = max(c_r, np.linalg.norm(r2) / sq2)
+            c_r = max(c_r, _finite_norm(r2) / sq2)
 
     return AssumptionEstimates(c_h=float(c_h), grad_lipschitz=float(lipschitz), c_r=float(c_r))
 
@@ -150,7 +159,7 @@ class LemmaCheckReport:
             "checked": dict(self.checked),
             "skipped": dict(self.skipped),
             "violations": [asdict(v) for v in self.violations],
-            "estimates": self.estimates.to_dict(),
+            "estimates": asdict(self.estimates),
         }
 
     def __str__(self):

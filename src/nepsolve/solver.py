@@ -21,6 +21,7 @@ inside the loop becomes a SolveStatus on the report.
 """
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -101,6 +102,12 @@ class SolverConfig:
         for name in ("theta", "gamma", "grad_tol", "divergence_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+        try:
+            # the loop never meets a NaN or inf cap, and json cannot write a
+            # numpy integer
+            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
+        except TypeError:
+            raise ValueError("max_iter must be an integer") from None
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if (self.user_h1 is None) != (self.user_h2 is None):

@@ -148,8 +148,10 @@ class FacilityInstance:
         p2 = np.atleast_1d(np.asarray(self.profits2, dtype=float))
         if p1.shape != (clients.shape[0],) or p2.shape != (clients.shape[0],):
             raise ValueError("profit lists must match the client count")
-        if np.any(p1 <= 0) or np.any(p2 <= 0):
-            raise ValueError("profits must be positive")
+        if not np.all(np.isfinite(clients)):
+            raise ValueError("client positions must be finite")
+        if not all(np.all(np.isfinite(p) & (p > 0)) for p in (p1, p2)):
+            raise ValueError("profits must be finite and positive")
         object.__setattr__(self, "clients", clients)
         object.__setattr__(self, "profits1", p1)
         object.__setattr__(self, "profits2", p2)

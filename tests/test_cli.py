@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import pathlib
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import nepsolve.cli as cli
+from nepsolve import SolverConfig, get_problem, solve
 from nepsolve.cli import main
+from nepsolve.solver import IterateRecord, LineSearchCertificate
 
 
 def run_cli(args, tmp_path, subdir="out"):
@@ -80,6 +83,7 @@ def test_solve_bad_x0_exit_code(tmp_path):
         (["diagnose", "--problem", "examp1", "--box-high", "inf"], 64),
         (["diagnose", "--problem", "examp1", "--seed", "-1"], 64),
         (["diagnose", "--problem", "examp1", "--alpha", "2"], 64),
+        (["facility-bench", "--runs", "1", "--solvers", ","], 64),
     ],
 )
 def test_bad_input_exit_code_writes_nothing(tmp_path, capsys, args, code):
@@ -134,6 +138,26 @@ TRACED_GLOBALS = (
     "estimate_assumptions",
     "verify_lemma_bounds",
 )
+
+
+def test_solve_json_keys_are_the_dataclass_fields(tmp_path):
+    def names(cls):
+        return [f.name for f in dataclasses.fields(cls)]
+
+    config_keys = [n for n in names(SolverConfig) if n not in ("user_h1", "user_h2")]
+    _, out = run_cli(["solve", "--problem", "examp5"], tmp_path)
+    report = json.loads((out / "examp5_descent-newton_report.json").read_text())
+    assert list(report["config"]) == config_keys + ["hessian_strategy"]
+    assert report["trajectory"]
+    for rec in report["trajectory"]:
+        assert list(rec) == names(IterateRecord)
+        assert list(rec["certificate"]) == names(LineSearchCertificate)
+    # user-supplied surrogates are named by the strategy, not written out
+    config = SolverConfig(user_h1=np.eye(1), user_h2=np.eye(1))
+    run = solve(get_problem("examp1"), [-5.0], [1.0], config)
+    payload = json.loads(json.dumps(cli.report_to_dict(run, "examp1", "descent-newton")))
+    assert list(payload["config"]) == config_keys + ["hessian_strategy"]
+    assert payload["config"]["hessian_strategy"] == "user-supplied"
 
 
 def test_traced_globals_exist():

@@ -137,6 +137,24 @@ def test_lemma_checks_handbuilt_stationary_record():
     assert lemma.ok
 
 
+def test_estimates_finite_on_a_box_whose_squares_overflow():
+    # examp5's reads on a 1e60 box pass 1e154, where np.linalg.norm's sum of
+    # squares overflows (and, under pytest's warning filters, raises)
+    est = estimate_assumptions(make_example(5), box=(-1e60, 1e60), samples=50, seed=0)
+    assert np.isfinite([est.c_h, est.grad_lipschitz, est.c_r]).all()
+    assert est.grad_lipschitz == pytest.approx(1.5667372004967477e180, rel=1e-12)
+    assert est.c_r == pytest.approx(1.7807167944828485e183, rel=1e-12)
+
+
+def test_finite_norm_keeps_bits_until_the_squares_overflow():
+    rng = np.random.default_rng(0)
+    for v in (rng.normal(size=7), 1e150 * rng.normal(size=3), np.zeros(2)):
+        assert diagnostics._finite_norm(v) == np.linalg.norm(v)
+    assert diagnostics._finite_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert diagnostics._finite_norm(np.array([1.5e308, 1.5e308])) == np.inf
+    assert np.isnan(diagnostics._finite_norm(np.array([np.nan, 1e200])))
+
+
 def test_lemma_report_serializes():
     report = solve(make_example(5), [-5.0], [1.0])
     est = estimate_assumptions(make_example(5), box=(-5.0, 5.0), samples=10, seed=1)

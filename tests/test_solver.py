@@ -62,6 +62,12 @@ def test_config_validation():
     for name in ("theta", "gamma", "grad_tol"):
         with pytest.raises(ValueError):
             SolverConfig(**{name: np.nan})
+    # max_iter is an integer: NaN, inf or 2.5 would be a cap no run meets
+    for bad in (np.nan, np.inf, 2.5, 0, -1):
+        with pytest.raises(ValueError):
+            SolverConfig(max_iter=bad)
+    capped = SolverConfig(max_iter=np.int64(5))
+    assert capped.max_iter == 5 and type(capped.max_iter) is int
     # user Hessians come in pairs
     for one in ({"user_h1": np.eye(1)}, {"user_h2": np.eye(1)}):
         with pytest.raises(ValueError):

@@ -157,6 +157,14 @@ def test_facility_instance_validation():
         FacilityInstance(dim=1, clients=np.zeros((2, 1)), profits1=np.ones(3), profits2=np.ones(2))
     with pytest.raises(ValueError):
         FacilityInstance(dim=1, clients=np.zeros((1, 1)), profits1=[-1.0], profits2=[1.0])
+    # non-finite data: every solve of such a game would end diverged
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="client positions"):
+            FacilityInstance(dim=1, clients=[[0.0], [bad]], profits1=np.ones(2), profits2=np.ones(2))
+        with pytest.raises(ValueError, match="profits"):
+            FacilityInstance(dim=1, clients=np.zeros((2, 1)), profits1=[1.0, bad], profits2=np.ones(2))
+        with pytest.raises(ValueError, match="profits"):
+            FacilityInstance(dim=1, clients=np.zeros((2, 1)), profits1=np.ones(2), profits2=[bad, 1.0])
 
 
 def test_facility_symmetric_instance():
