@@ -13,6 +13,7 @@ evaluated once.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -31,6 +32,17 @@ def _as_vector(x, n, label):
     if v.shape != (n,):
         raise ValueError(f"{label} has shape {v.shape}, expected ({n},)")
     return v
+
+
+def _as_int(n, label):
+    """n as an int, so that a numpy integer is stored as one (json cannot
+    write it). A bool or a non-integer such as 2.0 raises ValueError."""
+    try:
+        if not isinstance(n, bool):
+            return operator.index(n)
+    except TypeError:
+        pass
+    raise ValueError(f"{label} must be an integer, got {n!r}")
 
 
 def _require_finite(value, context):
@@ -167,6 +179,8 @@ class NepProblem:
     escape_radius: float = float("inf")
 
     def __post_init__(self):
+        for name in ("n1", "n2"):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError("player dimensions must be >= 1")
         # negated so that NaN fails it too

@@ -21,7 +21,6 @@ inside the loop becomes a SolveStatus on the report.
 """
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
@@ -32,6 +31,7 @@ import numpy as np
 from .core import (
     InnerSolveFailure,
     NonFiniteEvaluation,
+    _as_int,
     _norm,
     classify_point,
     evaluate_residual,
@@ -102,12 +102,8 @@ class SolverConfig:
         for name in ("theta", "gamma", "grad_tol", "divergence_radius"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        try:
-            # the loop never meets a NaN or inf cap, and json cannot write a
-            # numpy integer
-            object.__setattr__(self, "max_iter", operator.index(self.max_iter))
-        except TypeError:
-            raise ValueError("max_iter must be an integer") from None
+        # the loop never meets a NaN or inf cap
+        object.__setattr__(self, "max_iter", _as_int(self.max_iter, "max_iter"))
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if (self.user_h1 is None) != (self.user_h2 is None):

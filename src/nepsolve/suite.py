@@ -3,10 +3,11 @@ facility location model in 1-D and 2-D, and a seeded generator of strictly
 convex quadratic games."""
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .core import NepProblem
+from .core import NepProblem, _as_int
 from .linalg import CHOL_ROUNDING, lapack
 
 
@@ -139,6 +140,7 @@ class FacilityInstance:
     profits2: np.ndarray  # (N,)
 
     def __post_init__(self):
+        object.__setattr__(self, "dim", _as_int(self.dim, "dim"))
         if self.dim not in (1, 2):
             raise ValueError("spatial dimension must be 1 or 2")
         clients = np.atleast_2d(np.asarray(self.clients, dtype=float))
@@ -184,55 +186,38 @@ class _Half:
         self.weight = other_profits_x2 * u
 
 
-class _Halves:
-    """One player's last two halves, keyed by the bytes of the decision.
-
-    A line-search trial evaluates (x1, y2), (y1, y2) and (y1, x2), in this
-    order, so each player meets the iterate's decision and the trial's, and
-    only y1 and y2 are new. The next iterate is the accepted trial point,
-    whose halves are both kept. A lookup reads each (key, half) pair once,
-    so a problem shared between threads never pairs a decision with
-    another decision's half.
-    """
-
-    __slots__ = ("_clients", "_profits", "_other_profits_x2", "_recent", "_older")
-
-    def __init__(self, clients, profits, other_profits):
-        self._clients = clients
-        self._profits = profits
-        self._other_profits_x2 = 2.0 * other_profits
-        self._recent = self._older = (None, None)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        key = x.tobytes()
-        recent = self._recent
-        if recent[0] == key:
-            return recent[1]
-        older = self._older
-        if older[0] == key:
-            self._recent, self._older = older, recent
-            return older[1]
-        half = _Half(x, self._clients, self._profits, self._other_profits_x2)
-        self._recent, self._older = (key, half), recent
-        return half
+def _half(clients, profits, other_profits_x2, key):
+    """The half of the decision whose float64 bytes are key."""
+    return _Half(np.frombuffer(key), clients, profits, other_profits_x2)
 
 
 class _FacilityOracle:
     """The facility game's point oracle: oracle(x1, x2) is the game at
-    (x1, x2), built from each player's half (see _Halves). The instance's
-    clients and profits are read once, when the oracle is made."""
+    (x1, x2), built from each player's half. The instance's clients and
+    profits are read once, when the oracle is made.
+
+    Each player's last two halves are kept in an lru_cache(maxsize=2),
+    keyed by the bytes of the decision. A line-search trial evaluates
+    (x1, y2), (y1, y2) and (y1, x2), in this order, so each player meets
+    the iterate's decision and the trial's, and only y1 and y2 are new. The
+    next iterate is the accepted trial point, whose halves are both kept.
+    The cache returns the half stored for the key it was asked, so a
+    problem shared between threads never pairs a decision with another
+    decision's half.
+    """
 
     def __init__(self, instance):
         b1, b2 = instance.profits1, instance.profits2
         self.eye = np.eye(instance.dim)
         self.profits1_x4, self.profits2_x4 = 4.0 * b1, 4.0 * b2
         self.profits1_x8, self.profits2_x8 = 8.0 * b1, 8.0 * b2
-        self.halves1 = _Halves(instance.clients, b1, b2)
-        self.halves2 = _Halves(instance.clients, b2, b1)
+        self.half1 = lru_cache(maxsize=2)(partial(_half, instance.clients, b1, 2.0 * b2))
+        self.half2 = lru_cache(maxsize=2)(partial(_half, instance.clients, b2, 2.0 * b1))
 
     def __call__(self, x1, x2):
-        return _FacilityPoint(self, self.halves1(x1), self.halves2(x2))
+        h1 = self.half1(np.asarray(x1, dtype=float).tobytes())
+        h2 = self.half2(np.asarray(x2, dtype=float).tobytes())
+        return _FacilityPoint(self, h1, h2)
 
 
 class _FacilityPoint:
@@ -326,12 +311,13 @@ def make_facility(instance):
     analytic, and the fused `point` oracle gives them all; f1 and f2 are
     read off it. A point is built from the two players' halves, each
     player's client offsets and squared distances, and the oracle keeps
-    each player's last two halves: a line-search trial computes only the
-    halves of the trial decisions, and the next iterate, the accepted
-    trial point, computes none. The game is undefined (non-finite) when
-    both facilities sit exactly on one client. A facility 100 or more
-    units from every client has walked off into the flat tail, where the
-    gradients vanish without any equilibrium: the escape radius is 100.
+    each player's last two halves in a functools.lru_cache: a line-search
+    trial computes only the halves of the trial decisions, and the next
+    iterate, the accepted trial point, computes none. The game is undefined
+    (non-finite) when both facilities sit exactly on one client. A facility
+    100 or more units from every client has walked off into the flat tail,
+    where the gradients vanish without any equilibrium: the escape radius
+    is 100.
     """
     point = _FacilityOracle(instance)
     return NepProblem(

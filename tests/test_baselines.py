@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,37 @@ def test_jacobi_quadratic_single_inner_newton_is_exact():
     x1_new, x2_new = jacobi_step_at(problem, x1, x2)
     assert np.linalg.norm(problem.at(x1_new, x2).grad1) <= 1e-10
     assert np.linalg.norm(problem.at(x1, x2_new).grad2) <= 1e-10
+
+
+def test_jacobi_inner_line_search_stalls_on_a_wrong_sign_hessian():
+    # hess11 reports -2 where f1's curvature is 2: every inner Newton step
+    # climbs the squared gradient norm, so the backtracking runs out
+    problem = dataclasses.replace(make_example(1), hess11=lambda x1, x2: np.array([[-2.0]]))
+    with pytest.raises(InnerSolveFailure, match="stalled"):
+        jacobi_step_at(problem, [-5.0], [1.0])
+    report = solve_exact_jacobi(problem, [-5.0], [1.0])
+    assert report.status is SolveStatus.UNDEFINED_STEP
+    assert report.iterations == 0
+
+
+def test_jacobi_inner_newton_runs_out_of_steps_on_a_flat_root():
+    # grad f1 = (x1 - 1)^99: each inner Newton step covers 1/99 of the way
+    # to the root, so from x1 = 4 the INNER_MAX_ITER steps leave
+    # |x1 - 1| = 3 (98/99)^100, about 1.09, and the gradient far above INNER_TOL
+    p = 99
+    problem = NepProblem(
+        n1=1, n2=1,
+        f1=lambda x1, x2: (x1[0] - 1.0) ** (p + 1) / (p + 1),
+        f2=lambda x1, x2: x2[0] ** 2,
+        grad1=lambda x1, x2: (x1 - 1.0) ** p,
+        grad2=lambda x1, x2: 2.0 * x2,
+        hess11=lambda x1, x2: np.array([[p * (x1[0] - 1.0) ** (p - 1)]]),
+        hess22=lambda x1, x2: np.array([[2.0]]),
+        hess12_f1=lambda x1, x2: np.array([[0.0]]),
+        hess21_f2=lambda x1, x2: np.array([[0.0]]),
+    )
+    with pytest.raises(InnerSolveFailure, match="did not converge"):
+        jacobi_step_at(problem, [4.0], [0.0])
+    report = solve_exact_jacobi(problem, [4.0], [0.0])
+    assert report.status is SolveStatus.UNDEFINED_STEP
+    assert report.iterations == 0

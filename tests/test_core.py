@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -81,6 +83,15 @@ def test_residual_flags_non_finite_oracle():
 def test_problem_rejects_bad_dimensions():
     with pytest.raises(ValueError):
         NepProblem(n1=0, n2=1, f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
+    # 2.0 used to solve and then fail in estimate_assumptions, 1.5 to fail
+    # at the start point, and True to be taken as 1
+    for bad in (2.0, 1.5, True, "2", None):
+        with pytest.raises(ValueError, match="integer"):
+            NepProblem(n1=bad, n2=1, f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
+        with pytest.raises(ValueError, match="integer"):
+            NepProblem(n1=1, n2=bad, f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
+    problem = NepProblem(n1=np.int64(2), n2=np.int32(1), f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
+    assert (type(problem.n1), type(problem.n2)) == (int, int)
 
 
 def test_fd_gradient_quadratic():
@@ -197,6 +208,13 @@ def test_classify_requires_positive_tolerance():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
             classify_point(residual_at(make_example(1), [2.0], [1.0]), tol=tol)
+
+
+@pytest.mark.parametrize("block", ["hess11", "hess22"])
+def test_classify_rejects_a_non_finite_hessian_block(block):
+    problem = replace(make_example(1), **{block: lambda x1, x2: np.array([[np.inf]])})
+    with pytest.raises(NonFiniteEvaluation, match="Hessian"):
+        classify_point(residual_at(problem, [2.0], [1.0]), tol=1e-6)
 
 
 def test_point_class_from_values():

@@ -173,6 +173,14 @@ def test_verify_requires_trajectory():
         verify_lemma_bounds(report, est)
 
 
+@pytest.mark.parametrize("missing", ["problem", "config"])
+def test_verify_requires_problem_and_config(missing):
+    report = solve(make_example(1), [-5.0], [1.0])
+    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
+    with pytest.raises(ValueError, match="problem and config"):
+        verify_lemma_bounds(replace(report, **{missing: None}), est)
+
+
 @pytest.mark.parametrize("baseline", [solve_newton_kkt, solve_exact_jacobi])
 def test_verify_certifies_no_lemmas_for_baselines(baseline):
     # the lemmas bound descent-newton's surrogate system and line search

@@ -5,8 +5,10 @@ import pytest
 import scipy.linalg
 
 from nepsolve import (
+    LineSearchCertificate,
     NepProblem,
     PointKind,
+    QuadraticNep,
     SolveStatus,
     SolverConfig,
     check_inequalities,
@@ -62,8 +64,9 @@ def test_config_validation():
     for name in ("theta", "gamma", "grad_tol"):
         with pytest.raises(ValueError):
             SolverConfig(**{name: np.nan})
-    # max_iter is an integer: NaN, inf or 2.5 would be a cap no run meets
-    for bad in (np.nan, np.inf, 2.5, 0, -1):
+    # max_iter is an integer: NaN, inf or 2.5 would be a cap no run meets,
+    # and True is no count
+    for bad in (np.nan, np.inf, 2.5, True, 0, -1):
         with pytest.raises(ValueError):
             SolverConfig(max_iter=bad)
     capped = SolverConfig(max_iter=np.int64(5))
@@ -399,6 +402,56 @@ def test_non_finite_hessian_diverges_under_every_solver():
         report = run(problem, [1.0], [1.0])
         assert report.status is SolveStatus.DIVERGED, run.__name__
         assert report.iterations == 0
+
+    # a NaN mixed block: the two solvers that read it diverge at the start
+    # point, and exact-jacobi, which reads no mixed block, converges
+    problem = dataclasses.replace(make_example(1), hess12_f1=lambda x1, x2: np.array([[np.nan]]))
+    for run in (solve, solve_newton_kkt):
+        report = run(problem, [1.0], [1.0])
+        assert report.status is SolveStatus.DIVERGED, run.__name__
+        assert report.iterations == 0
+    assert solve_exact_jacobi(problem, [1.0], [1.0]).status is SolveStatus.CONVERGED
+
+
+def test_singular_system_at_unit_step_halves_t():
+    # A = B = [[1]] for both players: the full matrix [[1, 1], [1, 1]] is
+    # singular, so newton-kkt is undefined, and the descent system
+    # [[1, t], [t, 1]] is singular at t = 1 only; every accepted step is
+    # t = 0.5, reached by one singular halving and no backtrack
+    one = np.array([[1.0]])
+    problem = QuadraticNep(A1=one, A2=one, B1=one, B2=one, c1=np.ones(1), c2=np.ones(1)).to_problem()
+    report = solve(problem, [3.0], [0.5])
+    assert report.status is SolveStatus.CONVERGED
+    assert report.iterations == 10
+    certificates = {record.certificate for record in report.trajectory}
+    assert certificates == {LineSearchCertificate(0.5, (True,) * 6, 0, 1)}
+    assert solve_newton_kkt(problem, [3.0], [0.5]).status is SolveStatus.UNDEFINED_STEP
+
+
+def test_non_finite_trials_are_rejected():
+    # f1 is NaN off the origin, and every trial from there moves both
+    # players: each is rejected as non-finite down to T_MIN, and the run
+    # ends diverged
+    example = make_example(1)
+    problem = dataclasses.replace(
+        example,
+        f1=lambda x1, x2: example.f1(x1, x2) if x1[0] == x2[0] == 0.0 else np.nan,
+    )
+    report = solve(problem, [0.0], [0.0])
+    assert report.status is SolveStatus.DIVERGED
+    assert report.iterations == 0
+
+    # f2 is NaN where x1 > 0 and x2 > 3: from (-5, 4) the unit step's
+    # (y1, x2) = (2, 4) lies there, so t = 1 is rejected and t = 0.5
+    # accepted; from there the unit step lands on the equilibrium (2, 1)
+    problem = dataclasses.replace(
+        example,
+        f2=lambda x1, x2: np.nan if x1[0] > 0 and x2[0] > 3 else example.f2(x1, x2),
+    )
+    report = solve(problem, [-5.0], [4.0])
+    assert report.status is SolveStatus.CONVERGED
+    assert [record.certificate.backtracks for record in report.trajectory] == [1, 0]
+    assert [record.t for record in report.trajectory] == [0.5, 1.0]
 
 
 def _count_gradient_calls(problem):

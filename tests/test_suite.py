@@ -157,6 +157,14 @@ def test_facility_instance_validation():
         FacilityInstance(dim=1, clients=np.zeros((2, 1)), profits1=np.ones(3), profits2=np.ones(2))
     with pytest.raises(ValueError):
         FacilityInstance(dim=1, clients=np.zeros((1, 1)), profits1=[-1.0], profits2=[1.0])
+    with pytest.raises(ValueError, match="shape"):
+        FacilityInstance(dim=2, clients=np.zeros((2, 3)), profits1=np.ones(2), profits2=np.ones(2))
+    # the dimension is an integer: 2.0 would name the game facility2.0d
+    for bad in (2.0, 1.5, True):
+        with pytest.raises(ValueError, match="integer"):
+            FacilityInstance(dim=bad, clients=np.zeros((2, 2)), profits1=np.ones(2), profits2=np.ones(2))
+    instance = FacilityInstance(dim=np.int64(2), clients=np.zeros((2, 2)), profits1=np.ones(2), profits2=np.ones(2))
+    assert type(instance.dim) is int and make_facility(instance).name == "facility2d"
     # non-finite data: every solve of such a game would end diverged
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="client positions"):
@@ -336,6 +344,12 @@ def test_random_quadratic_deterministic():
     b = random_quadratic_nep(3, 2, seed=42)
     for name in ("A1", "A2", "B1", "B2", "c1", "c2"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_random_quadratic_rejects_an_empty_player():
+    for n1, n2 in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="dimensions"):
+            random_quadratic_nep(n1, n2, 0)
 
 
 def test_random_quadratic_spd_blocks():
