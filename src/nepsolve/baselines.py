@@ -6,7 +6,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import InnerSolveFailure, NonFiniteEvaluation
+from .core import InnerSolveFailure
 # looked up here by the benchmark's tracer
 from .core import classify_point, evaluate_residual  # noqa: F401
 from .linalg import SingularMatrixError, assemble_block_system, lu_solve
@@ -38,10 +38,11 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
     """Damped Newton root find for one player's stationarity equation.
 
     at(z) evaluates the problem with the player's decision at z; point is
-    that evaluation at z0 and g the player's gradient there. grad and hess
-    read the player's gradient and own Hessian block off a point, so each
-    iterate is evaluated once (an accepted trial point is the next
-    iterate). Backtracks on the squared gradient norm. A stalled line
+    that evaluation at z0 and g the player's gradient there, finite as the
+    residual checks it. grad and hess read the player's gradient and own
+    Hessian block off a point, so each iterate is evaluated once (an
+    accepted trial point, whose gradient is finite, is the next iterate).
+    Backtracks on the squared gradient norm. A stalled line
     search whose Newton step is below sqrt(eps) relative to z returns z:
     the gradient is then at its round-off level, which at large |z|
     exceeds INNER_TOL. Stops at gradient norm INNER_TOL, within
@@ -52,8 +53,6 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
     """
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(INNER_MAX_ITER):
-        if not np.isfinite(g).all():
-            raise NonFiniteEvaluation("non-finite gradient in inner solve")
         if np.linalg.norm(g) <= INNER_TOL:
             return z
         try:
@@ -104,18 +103,22 @@ def _unit_step(x1, x2, x1_next, x2_next):
     return x1_next, x2_next, 1.0, x1_next - x1, x2_next - x2, None
 
 
+def _kkt_run_step(problem, config, x1, x2, res):
+    d1, d2 = newton_kkt_step(problem, res)
+    return _unit_step(x1, x2, x1 + d1, x2 + d2)
+
+
+def _jacobi_run_step(problem, config, x1, x2, res):
+    return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2, res))
+
+
 def solve_newton_kkt(problem, x0_1, x0_2, config=None):
     """Iterate unit Newton steps on the stacked system until termination.
 
     A singular full matrix leaves the method undefined at the iterate; the
     report then has status UNDEFINED_STEP.
     """
-
-    def step(x1, x2, res):
-        d1, d2 = newton_kkt_step(problem, res)
-        return _unit_step(x1, x2, x1 + d1, x2 + d2)
-
-    return _drive(problem, x0_1, x0_2, config, step, "newton-kkt")
+    return _drive(problem, x0_1, x0_2, config, _kkt_run_step, "newton-kkt")
 
 
 def solve_exact_jacobi(problem, x0_1, x0_2, config=None):
@@ -124,8 +127,4 @@ def solve_exact_jacobi(problem, x0_1, x0_2, config=None):
     An undefined or failed per-player solve (e.g. a null per-player Hessian)
     ends the run with status UNDEFINED_STEP.
     """
-
-    def step(x1, x2, res):
-        return _unit_step(x1, x2, *exact_jacobi_step(problem, x1, x2, res))
-
-    return _drive(problem, x0_1, x0_2, config, step, "exact-jacobi")
+    return _drive(problem, x0_1, x0_2, config, _jacobi_run_step, "exact-jacobi")

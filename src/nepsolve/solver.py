@@ -16,14 +16,13 @@ opponent (x_other + t*d_other), not the current one.
 
 The outer loop (divergence radius, residual, convergence test, iteration
 cap, trajectory and report) is `_drive`, the run loop shared with the two
-baselines: each solver only supplies its step function, and every failure
-inside the loop becomes a SolveStatus on the report.
+baselines: each solver only supplies step(problem, config, x1, x2, res),
+which returns its step or raises; `_drive` alone makes failures statuses.
 """
 
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -54,6 +53,10 @@ T_MIN = 1e-18
 
 #: a player whose gradient norm is at most EPS_STATIONARY counts as stationary
 EPS_STATIONARY = 1e-12
+
+
+class _LineSearchExhausted(Exception):
+    """No trial step length both passed the six inequalities and moved x."""
 
 
 class SolveStatus(Enum):
@@ -281,9 +284,10 @@ def _descent_step(problem, config, x1, x2, res):
     then, with t reset to 1, repeatedly safeguards the mixed blocks, solves
     the block system (halving t when it is singular) and tests the six
     inequalities, halving t on rejection, until a step is accepted or t
-    falls below T_MIN.
-    Returns the accepted step in the form `_drive` takes, or DIVERGED /
-    LINE_SEARCH_FAILURE when no trial was accepted.
+    falls below T_MIN or an accepted trial leaves x + t*d == x (every
+    smaller t rounds to the same point). Returns the step `_drive` takes;
+    otherwise raises the last non-finite trial's NonFiniteEvaluation, if
+    any, or _LineSearchExhausted.
     """
     H1, H2 = build_surrogates(res.point, config)
     mixed1 = res.point.mixed12
@@ -296,8 +300,8 @@ def _descent_step(problem, config, x1, x2, res):
     t = 1.0
     backtracks = 0
     singular_halvings = 0
-    nonfinite_seen = False
-    while True:
+    nonfinite = None
+    while t >= T_MIN:
         try:
             d1, d2 = compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config)
         except SingularMatrixError:
@@ -305,16 +309,18 @@ def _descent_step(problem, config, x1, x2, res):
         else:
             try:
                 checks = check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config)
-            except NonFiniteEvaluation:
-                nonfinite_seen = True
+            except NonFiniteEvaluation as err:
+                nonfinite = err
             else:
                 if all(checks):
+                    y1, y2 = x1 + t * d1, x2 + t * d2
+                    if np.array_equal(y1, x1) and np.array_equal(y2, x2):
+                        break
                     cert = LineSearchCertificate(t, checks, backtracks, singular_halvings)
-                    return x1 + t * d1, x2 + t * d2, t, d1, d2, cert
+                    return y1, y2, t, d1, d2, cert
             backtracks += 1
         t *= 0.5
-        if t < T_MIN:
-            return SolveStatus.DIVERGED if nonfinite_seen else SolveStatus.LINE_SEARCH_FAILURE
+    raise nonfinite or _LineSearchExhausted()
 
 
 def _drive(problem, x0_1, x0_2, config, step, solver):
@@ -324,15 +330,15 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     smaller of the config's and the problem's escape radius), evaluate
     the problem at the iterate and read the residual from it, stop on
     convergence (classifying the point from the same evaluation) or the
-    iteration cap, then call step(x1, x2, res); res.point serves the step
-    too. A step returns either the terminal status it ran into or
-    (x1_next, x2_next, t, d1, d2, certificate); the loop then records the
-    iterate and moves to the next point.
-
-    Malformed inputs raise ValueError on entry, the only place the loop
-    validates a point; every failure inside the loop is a status: a
-    non-finite evaluation is DIVERGED, a singular system, failed inner
-    solve or overflowing Hessian shift UNDEFINED_STEP.
+    iteration cap, then call step(problem, config, x1, x2, res) with the
+    config in force; res.point serves the step too. A step returns
+    (x1_next, x2_next, t, d1, d2, certificate), which the loop records, or
+    raises, and only this loop turns a failure into a status: a non-finite
+    evaluation is DIVERGED, an exhausted line search LINE_SEARCH_FAILURE,
+    a singular system, failed inner solve or overflowing Hessian shift
+    UNDEFINED_STEP. Malformed inputs (a start point of the wrong shape or
+    not finite, a user Hessian of the wrong shape) raise ValueError on
+    entry, the only place the loop validates a point.
     """
     config = config or SolverConfig()
     if problem.escape_radius < config.divergence_radius:
@@ -341,6 +347,8 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     x2 = np.atleast_1d(np.asarray(x0_2, dtype=float)).copy()
     if x1.shape != (problem.n1,) or x2.shape != (problem.n2,):
         raise ValueError("start point does not match problem dimensions")
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("start point has non-finite coordinates")
     for name, n in (("user_h1", problem.n1), ("user_h2", problem.n2)):
         h = getattr(config, name)
         if h is not None and np.shape(h) != (n, n):
@@ -361,11 +369,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             if len(trajectory) >= config.max_iter:
                 status = SolveStatus.MAX_ITERATIONS
                 break
-            outcome = step(x1, x2, res)
-            if isinstance(outcome, SolveStatus):
-                status = outcome
-                break
-            x1_next, x2_next, t, d1, d2, certificate = outcome
+            x1_next, x2_next, t, d1, d2, certificate = step(problem, config, x1, x2, res)
             trajectory.append(
                 IterateRecord(
                     k=len(trajectory), x1=x1, x2=x2, g1=res.g1, g2=res.g2,
@@ -375,6 +379,8 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             x1, x2 = x1_next, x2_next
     except NonFiniteEvaluation:
         status = SolveStatus.DIVERGED
+    except _LineSearchExhausted:
+        status = SolveStatus.LINE_SEARCH_FAILURE
     except (SingularMatrixError, InnerSolveFailure, ShiftOverflow):
         status = SolveStatus.UNDEFINED_STEP
 
@@ -399,6 +405,4 @@ def solve(problem, x0_1, x0_2, config=None):
     failure modes are statuses on the report, never exceptions; only a
     malformed start point or user Hessian raises ValueError.
     """
-    config = config or SolverConfig()
-    step = partial(_descent_step, problem, config)
-    return _drive(problem, x0_1, x0_2, config, step, "descent-newton")
+    return _drive(problem, x0_1, x0_2, config, _descent_step, "descent-newton")

@@ -18,6 +18,7 @@ from nepsolve import (
     solve_exact_jacobi,
     solve_newton_kkt,
 )
+from nepsolve.baselines import INNER_MAX_ITER, INNER_TOL
 
 
 def residual_at(problem, x1, x2):
@@ -193,3 +194,30 @@ def test_jacobi_inner_newton_runs_out_of_steps_on_a_flat_root():
     report = solve_exact_jacobi(problem, [4.0], [0.0])
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
+
+
+def test_jacobi_inner_newton_reaches_a_double_root_on_its_last_step():
+    # grad f1 = x1^2: each inner Newton step halves x1 and quarters the
+    # gradient, so from x1 = 2^100 sqrt(INNER_TOL / 2) the gradient first
+    # falls to INNER_TOL / 2, below INNER_TOL, on the INNER_MAX_ITER-th step
+    hess_calls = []
+
+    def hess11(x1, x2):
+        hess_calls.append(x1[0])
+        return np.array([[2.0 * x1[0]]])
+
+    problem = NepProblem(
+        n1=1, n2=1,
+        f1=lambda x1, x2: x1[0] ** 3 / 3.0,
+        f2=lambda x1, x2: x2[0] ** 2,
+        grad1=lambda x1, x2: x1 ** 2,
+        grad2=lambda x1, x2: 2.0 * x2,
+        hess11=hess11,
+        hess22=lambda x1, x2: np.array([[2.0]]),
+        hess12_f1=lambda x1, x2: np.array([[0.0]]),
+        hess21_f2=lambda x1, x2: np.array([[0.0]]),
+    )
+    x1_new, x2_new = jacobi_step_at(problem, [2.0**100 * np.sqrt(INNER_TOL / 2)], [0.0])
+    assert len(hess_calls) == INNER_MAX_ITER
+    assert x1_new[0] ** 2 <= INNER_TOL < hess_calls[-1] ** 2
+    assert x2_new == [0.0]

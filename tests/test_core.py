@@ -220,6 +220,9 @@ def test_classify_rejects_a_non_finite_hessian_block(block):
 def test_point_class_from_values():
     cls = PointClass(PointKind.EQUILIBRIUM_CANDIDATE, 0.25, -1.5)
     assert (cls.kind, cls.min_eig_1, cls.min_eig_2) == (PointKind.EQUILIBRIUM_CANDIDATE, 0.25, -1.5)
+    assert repr(cls) == (
+        f"PointClass(kind={PointKind.EQUILIBRIUM_CANDIDATE}, min_eig_1=0.25, min_eig_2=-1.5)"
+    )
 
 
 def test_classify_point_is_the_name_the_solver_loops_call():

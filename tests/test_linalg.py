@@ -428,6 +428,7 @@ REJECTED = {
     "modified_cholesky-asymmetric": (modified_cholesky, ([[1, 2], [0, 1]],), ValueError),
     "modified_cholesky-nan": (modified_cholesky, ([[np.nan]],), NonFiniteEvaluation),
     "modified_cholesky-inf": (modified_cholesky, (np.diag([np.inf, 1.0]),), NonFiniteEvaluation),
+    "spectral_bounds_sym-non-square": (spectral_bounds_sym, (np.ones((2, 3)),), DimensionMismatch),
 }
 
 

@@ -111,6 +111,12 @@ def test_safeguard_keeps_block_for_large_t():
     assert np.array_equal(M2, m2)
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_safeguard_rejects_a_non_positive_step_length(t):
+    with pytest.raises(ValueError, match="t must be positive"):
+        safeguard_mixed_blocks(3.0, 0.0, t, SolverConfig(), np.ones((1, 1)), np.ones((1, 1)))
+
+
 def test_direction_counterexample(counterexample_problem):
     problem = counterexample_problem
     x1, x2 = np.array([0.0]), np.array([0.0])
@@ -256,6 +262,13 @@ def test_solve_starting_at_solution_takes_zero_iterations():
 def test_solve_rejects_bad_start_shape():
     with pytest.raises(ValueError):
         solve(make_example(1), [1.0, 2.0], [1.0])
+
+
+@pytest.mark.parametrize("run", [solve, solve_newton_kkt, solve_exact_jacobi])
+@pytest.mark.parametrize("x0", [([np.nan], [1.0]), ([1.0], [np.inf]), ([-np.inf], [np.nan])])
+def test_every_solver_rejects_a_non_finite_start(run, x0):
+    with pytest.raises(ValueError, match="non-finite"):
+        run(make_example(1), *x0)
 
 
 def test_solve_is_deterministic():
@@ -452,6 +465,19 @@ def test_non_finite_trials_are_rejected():
     assert report.status is SolveStatus.CONVERGED
     assert [record.certificate.backtracks for record in report.trajectory] == [1, 0]
     assert [record.t for record in report.trajectory] == [0.5, 1.0]
+
+    # f1 is NaN everywhere but (1, 1): every trial that moves x1 is
+    # rejected, until t = 2^-53 rounds the step away and the trial is
+    # (1, 1) itself, where the six inequalities hold without progress.
+    # Such a trial ends the line search, so the run ends diverged at once
+    # instead of accepting that step 1,000 times
+    problem = dataclasses.replace(
+        example,
+        f1=lambda x1, x2: example.f1(x1, x2) if x1[0] == x2[0] == 1.0 else np.nan,
+    )
+    report = solve(problem, [1.0], [1.0])
+    assert report.status is SolveStatus.DIVERGED
+    assert report.iterations == 0
 
 
 def _count_gradient_calls(problem):
