@@ -42,10 +42,11 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
     residual checks it. grad and hess read the player's gradient and own
     Hessian block off a point, so each iterate is evaluated once (an
     accepted trial point, whose gradient is finite, is the next iterate).
-    Backtracks on the squared gradient norm. A stalled line
-    search whose Newton step is below sqrt(eps) relative to z returns z:
-    the gradient is then at its round-off level, which at large |z|
-    exceeds INNER_TOL. Stops at gradient norm INNER_TOL, within
+    Backtracks on the squared gradient norm, rejecting a trial whose
+    gradient is not finite or whose oracle raises ArithmeticError. A
+    stalled line search whose Newton step is below sqrt(eps) relative to
+    z returns z: the gradient is then at its round-off level, which at
+    large |z| exceeds INNER_TOL. Stops at gradient norm INNER_TOL, within
     INNER_MAX_ITER Newton steps. Raises InnerSolveFailure when the
     per-player Hessian block is singular (the iteration is undefined) or
     progress stalls, and NonFiniteEvaluation, through lu_solve, when the
@@ -65,10 +66,14 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
         s = 1.0
         while s >= 1e-12:
             z_trial = z + s * p
-            trial = at(z_trial)
-            g_trial = grad(trial)
-            if np.isfinite(g_trial).all() and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
-                break
+            try:
+                trial = at(z_trial)
+                g_trial = grad(trial)
+            except ArithmeticError:
+                pass
+            else:
+                if np.isfinite(g_trial).all() and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
+                    break
             s *= 0.5
         else:
             if np.linalg.norm(p) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(z)):

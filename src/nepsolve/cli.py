@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_exact_jacobi, solve_newton_kkt
-from .core import NonFiniteEvaluation, PointKind
+from .core import NonFiniteEvaluation, PointKind, _Uniform
 from .diagnostics import (
     estimate_assumptions,
     monitor_stepsizes,
@@ -257,8 +257,7 @@ def cmd_facility_bench(args):
     config = _config_from_args(args, base=SolverConfig(grad_tol=1e-6))
 
     problem = get_problem("facility2d")
-    rng = np.random.default_rng(args.seed)
-    starts = rng.uniform(-2.0, 2.0, size=(args.runs, problem.n1 + problem.n2))
+    starts = _Uniform(args.seed).uniform(-2.0, 2.0, size=(args.runs, problem.n1 + problem.n2))
     rows = [["solver", "equilibrium", "non_equilibrium_stationary", "failed", "avg_iterations_converged"]]
     for solver in solvers:
         equilibrium = stationary = failed = 0
@@ -284,6 +283,8 @@ def cmd_facility_bench(args):
 def cmd_diagnose(args):
     """Solve, then certify assumption constants and, for descent-newton, the
     lemma bounds on the run ("lemma_report" is null for the baselines)."""
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     problem, report = _run(args)
     box = (args.box_low, args.box_high)
     try:

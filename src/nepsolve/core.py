@@ -45,6 +45,93 @@ def _as_int(n, label):
     raise ValueError(f"{label} must be an integer, got {n!r}")
 
 
+_M32 = (1 << 32) - 1
+_M64 = (1 << 64) - 1
+_M128 = (1 << 128) - 1
+#: PCG64's LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hashmix(h, mult):
+    """numpy SeedSequence's hashmix, threading its hash constant from h."""
+
+    def hashmix(v):
+        nonlocal h
+        v ^= h
+        h = h * mult & _M32
+        v = v * h & _M32
+        return v ^ v >> 16
+
+    return hashmix
+
+
+class _Uniform:
+    """Seeded uniform draws, bit for bit those of
+    numpy.random.default_rng(seed).uniform (checked against numpy 2.4.6),
+    without loading numpy.random.
+
+    The seed, an int >= 0, is split into little-endian 32-bit words and
+    hashed into a pool of four words, which expand into four 64-bit words
+    s0..s3, as numpy's SeedSequence(seed).generate_state(4, uint64) does.
+    These seed PCG64, a 128-bit LCG: from state 0 with increment
+    2*(s2<<64 | s3) + 1, one step, then s0<<64 | s1 added and one more
+    step. A draw steps the LCG and outputs the XSL-RR of the state, the
+    64-bit xor of its halves rotated right by its top 6 bits; its top 53
+    bits times 2**-53 give u, and low + (high - low) * u the draw. Arrays
+    are filled in C order.
+    """
+
+    def __init__(self, seed):
+        seed = _as_int(seed, "seed")
+        if seed < 0:
+            raise ValueError(f"seed must be >= 0, got {seed}")
+        # zero words pad the seed to the pool's four, as numpy hashes a missing word
+        words = [seed >> 32 * i & _M32 for i in range(max(4, (seed.bit_length() + 31) // 32))]
+        hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+
+        def mix(x, y):
+            r = 0xCA01F9DD * x - 0x4973F715 * y & _M32
+            return r ^ r >> 16
+
+        pool = [hashmix(w) for w in words[:4]]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        for w in words[4:]:
+            for dst in range(4):
+                pool[dst] = mix(pool[dst], hashmix(w))
+        out = _hashmix(0x8B51F9DD, 0x58F38DED)
+        state = [out(pool[i % 4]) for i in range(8)]
+        s0, s1, s2, s3 = (state[i] | state[i + 1] << 32 for i in range(0, 8, 2))
+        self._inc = ((s2 << 64 | s3) << 1 | 1) & _M128
+        self._state = (self._inc + (s0 << 64 | s1)) * _PCG_MULT + self._inc & _M128
+
+    def _draws(self, n):
+        """The top 53 bits of the next n outputs."""
+        state, inc = self._state, self._inc
+        # module constants as locals: the loop is the sampler's whole cost
+        mult, m128, m64, m53, double = _PCG_MULT, _M128, _M64, (1 << 53) - 1, _M64 + 2
+        draws = []
+        append = draws.append
+        for _ in range(n):
+            state = state * mult + inc & m128
+            # the xor doubled to 128 bits (times 2**64 + 1), so that the
+            # rotation is a shift
+            append(((state >> 64 ^ state) & m64) * double >> (state >> 122) + 11 & m53)
+        self._state = state
+        return draws
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        """Generator.uniform(low, high, size) for scalar bounds: a float
+        when size is None, else an array of that shape."""
+        if size is None:
+            return low + (high - low) * (self._draws(1)[0] * 2.0**-53)
+        shape = (size,) if isinstance(size, int) else tuple(size)
+        u = np.array(self._draws(math.prod(shape)), dtype=np.uint64) * 2.0**-53
+        return low + (high - low) * u.reshape(shape)
+
+
 def _require_finite(value, context):
     arr = np.asarray(value, dtype=float)
     if not np.all(np.isfinite(arr)):

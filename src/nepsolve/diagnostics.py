@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _require_finite
+from .core import _require_finite, _Uniform
 from .solver import build_surrogates, safeguard_mixed_blocks
 from .linalg import assemble_block_system, spectral_bounds_sym
 
@@ -77,15 +77,17 @@ def _finite_norm(v):
 def estimate_assumptions(problem, box, samples, seed):
     """Max-sampled estimates of the assumption constants over a box.
 
-    Estimates grow monotonically with the sample count for a fixed seed
-    (draws are consumed in a fixed per-sample order). Raises
-    NonFiniteEvaluation when any oracle read, a probe included, is not finite.
+    Estimates grow monotonically with the sample count for a fixed seed, an
+    int >= 0 (draws are consumed in a fixed per-sample order; they are
+    numpy.random.default_rng(seed)'s uniform draws, from core._Uniform).
+    Raises NonFiniteEvaluation when any oracle read, a probe included, is
+    not finite.
     """
     if samples < 2:
         raise ValueError("need at least two samples")
     n1, n2 = problem.n1, problem.n2
     lo, hi = _box_bounds(box, n1 + n2)
-    rng = np.random.default_rng(seed)
+    rng = _Uniform(seed)
 
     c_h = 0.0
     lipschitz = 0.0
@@ -411,7 +413,7 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
         raise ValueError("need at least one sample")
     n1, n2 = problem.n1, problem.n2
     lo, hi = _box_bounds(box, n1 + n2)
-    rng = np.random.default_rng(seed)
+    rng = _Uniform(seed)
 
     errs = dict.fromkeys(_DERIVATIVES, 0.0)
     asym = 0.0

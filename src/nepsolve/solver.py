@@ -233,8 +233,9 @@ def check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config):
     oracle that keeps each player's last two decisions (the facility
     game's) computes only what y1 and y2 change.
 
-    Raises NonFiniteEvaluation if any evaluation is non-finite; the caller
-    treats that as a rejected trial and notes possible divergence.
+    Raises NonFiniteEvaluation if any evaluation is non-finite, and lets an
+    oracle's ArithmeticError (math.exp's OverflowError, say) pass; the
+    caller treats either as a rejected trial and notes possible divergence.
     """
     y1 = x1 + t * d1
     y2 = x2 + t * d2
@@ -286,8 +287,8 @@ def _descent_step(problem, config, x1, x2, res):
     inequalities, halving t on rejection, until a step is accepted or t
     falls below T_MIN or an accepted trial leaves x + t*d == x (every
     smaller t rounds to the same point). Returns the step `_drive` takes;
-    otherwise raises the last non-finite trial's NonFiniteEvaluation, if
-    any, or _LineSearchExhausted.
+    otherwise raises the last non-finite trial's NonFiniteEvaluation or
+    ArithmeticError, if any, or _LineSearchExhausted.
     """
     H1, H2 = build_surrogates(res.point, config)
     mixed1 = res.point.mixed12
@@ -309,7 +310,7 @@ def _descent_step(problem, config, x1, x2, res):
         else:
             try:
                 checks = check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config)
-            except NonFiniteEvaluation as err:
+            except (NonFiniteEvaluation, ArithmeticError) as err:
                 nonfinite = err
             else:
                 if all(checks):
@@ -334,9 +335,9 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     config in force; res.point serves the step too. A step returns
     (x1_next, x2_next, t, d1, d2, certificate), which the loop records, or
     raises, and only this loop turns a failure into a status: a non-finite
-    evaluation is DIVERGED, an exhausted line search LINE_SEARCH_FAILURE,
-    a singular system, failed inner solve or overflowing Hessian shift
-    UNDEFINED_STEP. Malformed inputs (a start point of the wrong shape or
+    evaluation, or an oracle's ArithmeticError, is DIVERGED, an exhausted
+    line search LINE_SEARCH_FAILURE, a singular system, failed inner solve
+    or overflowing Hessian shift UNDEFINED_STEP. Malformed inputs (a start point of the wrong shape or
     not finite, a user Hessian of the wrong shape) raise ValueError on
     entry, the only place the loop validates a point.
     """
@@ -377,7 +378,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
                 )
             )
             x1, x2 = x1_next, x2_next
-    except NonFiniteEvaluation:
+    except (NonFiniteEvaluation, ArithmeticError):
         status = SolveStatus.DIVERGED
     except _LineSearchExhausted:
         status = SolveStatus.LINE_SEARCH_FAILURE

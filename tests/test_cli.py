@@ -93,6 +93,37 @@ def test_bad_input_exit_code_writes_nothing(tmp_path, capsys, args, code):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_diagnose_negative_seed_names_the_flag(tmp_path, capsys):
+    code, out = run_cli(["diagnose", "--problem", "examp1", "--seed", "-1"], tmp_path)
+    assert code == 64
+    assert not out.exists()
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_cli_commands_leave_numpy_random_unimported(tmp_path):
+    # in a fresh interpreter: pytest's own process has loaded numpy.random
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    commands = [
+        ["diagnose", "--problem", "examp5"],
+        ["facility-bench", "--runs", "2"],
+        ["solve", "--problem", "facility2d"],
+        ["table1"],
+    ]
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            f"import sys; sys.path.insert(0, {src!r}); from nepsolve.cli import main; "
+            f"codes = [main(args + ['--out-dir', {str(tmp_path)!r}]) for args in {commands!r}]; "
+            "print(codes, 'numpy.random' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] False"
+
+
 @pytest.mark.parametrize("bound, code", [("1e100", 64), ("1e60", 0)])
 def test_diagnose_huge_box_ends_without_traceback(tmp_path, bound, code):
     # in a fresh interpreter: pytest's filterwarnings would turn the overflow

@@ -20,6 +20,7 @@ from nepsolve import (
     solve_newton_kkt,
     spectral_bounds_sym,
 )
+from nepsolve.core import _Uniform
 
 
 def residual_at(problem, x1, x2):
@@ -92,6 +93,34 @@ def test_problem_rejects_bad_dimensions():
             NepProblem(n1=1, n2=bad, f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
     problem = NepProblem(n1=np.int64(2), n2=np.int32(1), f1=lambda a, b: 0.0, f2=lambda a, b: 0.0)
     assert (type(problem.n1), type(problem.n2)) == (int, int)
+
+
+#: seeds of one to four 32-bit words, the last of 100 bits
+SAMPLER_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**99 + 12345]
+
+#: the draws of two estimate_assumptions samples on a game of n1 = 2,
+#: n2 = 3, in its order, then facility-bench's starts for 7 and 0 runs
+SAMPLER_CALLS = [
+    {"size": 5}, {"size": 2}, {"size": 3}, {"low": 0.25, "high": 1.0},
+    {"low": -1.0, "high": 1.0, "size": 2}, {"low": -1.0, "high": 1.0, "size": 3},
+] * 2 + [{"low": -2.0, "high": 2.0, "size": (7, 4)}, {"low": -2.0, "high": 2.0, "size": (0, 4)}]
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+def test_uniform_draws_are_numpys_bit_for_bit(seed):
+    ours, numpys = _Uniform(seed), np.random.default_rng(seed)
+    for kwargs in SAMPLER_CALLS:
+        a, b = ours.uniform(**kwargs), numpys.uniform(**kwargs)
+        assert type(a) is type(b)
+        assert np.shape(a) == np.shape(b)
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+def test_uniform_rejects_a_negative_seed_as_numpy_does():
+    with pytest.raises(ValueError):
+        np.random.default_rng(-1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        _Uniform(-1)
 
 
 def test_fd_gradient_quadratic():

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -269,6 +270,45 @@ def test_solve_rejects_bad_start_shape():
 def test_every_solver_rejects_a_non_finite_start(run, x0):
     with pytest.raises(ValueError, match="non-finite"):
         run(make_example(1), *x0)
+
+
+def _exp_game(exp):
+    """f1 = exp(x1) - x1*x2, f2 = (x2 - 1)^2 / 2, with analytic derivatives."""
+    return NepProblem(
+        n1=1,
+        n2=1,
+        f1=lambda x1, x2: exp(x1[0]) - x1[0] * x2[0],
+        f2=lambda x1, x2: 0.5 * (x2[0] - 1.0) ** 2,
+        grad1=lambda x1, x2: np.array([exp(x1[0]) - x2[0]]),
+        grad2=lambda x1, x2: np.array([x2[0] - 1.0]),
+        hess11=lambda x1, x2: np.array([[exp(x1[0])]]),
+        hess22=lambda x1, x2: np.array([[1.0]]),
+        hess12_f1=lambda x1, x2: np.array([[-1.0]]),
+        hess21_f2=lambda x1, x2: np.array([[0.0]]),
+    )
+
+
+@pytest.mark.parametrize(
+    "run, x0, status, iterations",
+    [
+        (solve, (-30.0, 1.0), SolveStatus.CONVERGED, 6),
+        (solve_newton_kkt, (-30.0, 1.0), SolveStatus.UNDEFINED_STEP, 0),
+        (solve_exact_jacobi, (-30.0, 1.0), SolveStatus.CONVERGED, 1),
+        (solve, (800.0, 0.0), SolveStatus.DIVERGED, 0),
+        (solve_newton_kkt, (800.0, 0.0), SolveStatus.DIVERGED, 0),
+        (solve_exact_jacobi, (800.0, 0.0), SolveStatus.DIVERGED, 0),
+    ],
+)
+def test_an_oracle_arithmetic_error_is_a_non_finite_evaluation(run, x0, status, iterations):
+    # where np.exp overflows to inf, math.exp raises OverflowError: from
+    # (-30, 1) at line-search trials near x1 = e^30, from (800, 0) at the
+    # start. The overflow warnings are ignored: exact-jacobi squares a finite
+    # trial gradient of order e^700 before it rejects the trial
+    with np.errstate(over="ignore"):
+        expected = run(_exp_game(np.exp), [x0[0]], [x0[1]])
+        report = run(_exp_game(math.exp), [x0[0]], [x0[1]])
+    assert (expected.status, expected.iterations) == (status, iterations)
+    assert (report.status, report.iterations) == (status, iterations)
 
 
 def test_solve_is_deterministic():
