@@ -47,10 +47,7 @@ from .suite import (
     QuadraticNep,
     UnknownProblemId,
     get_problem,
-    make_example,
     make_facility,
-    make_facility_1d_instance,
-    make_facility_2d_paper,
     random_quadratic_nep,
 )
 from .diagnostics import (

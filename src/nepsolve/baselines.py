@@ -34,6 +34,12 @@ def newton_kkt_step(problem, res):
     return d[: problem.n1], d[problem.n1 :]
 
 
+def _square(g):
+    # g @ g, inf without a warning where it overflows (a trial's inf square rejects it)
+    with np.errstate(over="ignore"):
+        return float(g @ g)
+
+
 def _inner_newton_root(at, grad, hess, z0, point, g):
     """Damped Newton root find for one player's stationarity equation.
 
@@ -62,7 +68,7 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
             raise InnerSolveFailure(
                 "per-player Hessian block is singular; the step is undefined"
             ) from err
-        phi = float(g @ g)
+        phi = _square(g)
         s = 1.0
         while s >= 1e-12:
             z_trial = z + s * p
@@ -72,7 +78,7 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
             except ArithmeticError:
                 pass
             else:
-                if np.isfinite(g_trial).all() and float(g_trial @ g_trial) <= phi * (1.0 - 1e-4 * s):
+                if np.isfinite(g_trial).all() and _square(g_trial) <= phi * (1.0 - 1e-4 * s):
                     break
             s *= 0.5
         else:

@@ -2,6 +2,7 @@
 facility location model in 1-D and 2-D, and a seeded generator of strictly
 convex quadratic games."""
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -17,23 +18,6 @@ class UnknownProblemId(ValueError):
 
 class GenerationFailure(RuntimeError):
     """Random instance generation kept producing singular full matrices."""
-
-
-def make_example(example_id):
-    """One of the five one-dimensional benchmark games (ids 1..5).
-
-    All return analytic gradients and all four second-derivative blocks.
-    """
-    builders = {
-        1: _example1,
-        2: _example2,
-        3: _example3,
-        4: _example4,
-        5: _example5,
-    }
-    if example_id not in builders:
-        raise UnknownProblemId(f"example id must be 1..5, got {example_id!r}")
-    return builders[example_id]()
 
 
 def _example1():
@@ -331,24 +315,16 @@ def make_facility(instance):
     )
 
 
-def make_facility_1d_instance():
-    return FacilityInstance(
-        dim=1,
-        clients=np.array([[1.0], [-1.0], [3.0]]),
-        profits1=np.ones(3),
-        profits2=np.ones(3),
-    )
+def _facility1d():
+    clients = np.array([[1.0], [-1.0], [3.0]])
+    return make_facility(FacilityInstance(1, clients, np.ones(3), np.ones(3)))
 
 
-def make_facility_2d_paper():
-    """The 2-D benchmark instance: four clients on the axes, asymmetric profits."""
-    instance = FacilityInstance(
-        dim=2,
-        clients=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
-        profits1=np.array([1.0, 2.0, 1.0, 1.0]),
-        profits2=np.array([1.0, 2.0, 2.0, 3.0]),
-    )
-    return make_facility(instance)
+def _facility2d():
+    # the 2-D benchmark instance: four clients on the axes, asymmetric profits
+    clients = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]])
+    profits1, profits2 = np.array([1.0, 2.0, 1.0, 1.0]), np.array([1.0, 2.0, 2.0, 3.0])
+    return make_facility(FacilityInstance(2, clients, profits1, profits2))
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +351,10 @@ class QuadraticNep:
     def n2(self):
         return self.A2.shape[0]
 
-    def full_matrix(self):
-        return np.block([[self.A1, self.B1], [self.B2, self.A2]])
-
     def equilibrium(self):
         """Unique stationary point, solving the stacked linear system."""
-        sol = np.linalg.solve(self.full_matrix(), np.concatenate([self.c1, self.c2]))
+        K = np.block([[self.A1, self.B1], [self.B2, self.A2]])
+        sol = np.linalg.solve(K, np.concatenate([self.c1, self.c2]))
         return sol[: self.n1], sol[self.n1 :]
 
     def to_problem(self, name="quadratic"):
@@ -475,29 +449,39 @@ def random_quadratic_nep(n1, n2, seed):
 # ---------------------------------------------------------------------------
 
 
+# each builder makes a new problem, so runs never share an oracle or its
+# caches; the five examples have analytic gradients and all four blocks
+_BUILDERS = {
+    "examp1": _example1,
+    "examp2": _example2,
+    "examp3": _example3,
+    "examp4": _example4,
+    "examp5": _example5,
+    "facility1d": _facility1d,
+    "facility2d": _facility2d,
+}
+
+# quadratic:<seed>:<n1>x<n2> in ASCII digits without leading zeros, seed >= 0
+# and n1, n2 >= 1: each game has one id, its name and output file stem
+_QUADRATIC_ID = r"quadratic:(0|[1-9][0-9]*):([1-9][0-9]*)x([1-9][0-9]*)"
+
+
 def get_problem(problem_id):
-    """Resolve a problem identifier.
+    """Build the problem a built-in id names.
 
     Known ids: examp1..examp5, facility1d, facility2d, and
-    quadratic:<seed>:<n1>x<n2>.
+    quadratic:<seed>:<n1>x<n2>. Raises UnknownProblemId for any other.
     """
-    if problem_id in ("examp1", "examp2", "examp3", "examp4", "examp5"):
-        return make_example(int(problem_id[-1]))
-    if problem_id == "facility1d":
-        return make_facility(make_facility_1d_instance())
-    if problem_id == "facility2d":
-        return make_facility_2d_paper()
-    if problem_id.startswith("quadratic:"):
-        try:
-            _, seed_s, dims = problem_id.split(":")
-            n1_s, n2_s = dims.split("x")
-            seed, n1, n2 = int(seed_s), int(n1_s), int(n2_s)
-            if seed < 0 or n1 < 1 or n2 < 1:
-                raise ValueError(problem_id)
-        except ValueError:
-            raise UnknownProblemId(
-                f"malformed quadratic id {problem_id!r}, expected quadratic:<seed>:<n1>x<n2> "
-                "with seed >= 0 and n1, n2 >= 1"
-            ) from None
+    builder = _BUILDERS.get(problem_id)
+    if builder is not None:
+        return builder()
+    match = re.fullmatch(_QUADRATIC_ID, problem_id)  # compiled on first use, not at import
+    if match is not None:
+        seed, n1, n2 = (int(g) for g in match.groups())
         return random_quadratic_nep(n1, n2, seed).to_problem(name=problem_id)
+    if problem_id.startswith("quadratic:"):
+        raise UnknownProblemId(
+            f"malformed quadratic id {problem_id!r}, expected quadratic:<seed>:<n1>x<n2> "
+            "with seed >= 0 and n1, n2 >= 1"
+        )
     raise UnknownProblemId(f"unknown problem id {problem_id!r}")

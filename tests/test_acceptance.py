@@ -18,7 +18,6 @@ from nepsolve import (
     SolverConfig,
     estimate_assumptions,
     get_problem,
-    make_example,
     monitor_stepsizes,
     random_quadratic_nep,
     solve,

@@ -12,7 +12,6 @@ from nepsolve import (
     evaluate_residual,
     exact_jacobi_step,
     get_problem,
-    make_example,
     newton_kkt_step,
     random_quadratic_nep,
     solve_exact_jacobi,
@@ -32,14 +31,14 @@ def jacobi_step_at(problem, x1, x2):
 
 def test_newton_step_example3_hits_stationary_point():
     # hand solve of [[2, 1], [-1, -3]] d = (14, -1): d = (8.2, -2.4)
-    problem = make_example(3)
+    problem = get_problem("examp3")
     d1, d2 = newton_kkt_step(problem, residual_at(problem, [-5.0], [1.0]))
     assert -5.0 + d1[0] == pytest.approx(3.2, abs=1e-12)
     assert 1.0 + d2[0] == pytest.approx(-1.4, abs=1e-12)
 
 
 def test_newton_solve_example3_one_iteration():
-    report = solve_newton_kkt(make_example(3), [-5.0], [1.0])
+    report = solve_newton_kkt(get_problem("examp3"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
     assert report.final_x1 == pytest.approx([3.2], abs=1e-3)
@@ -50,7 +49,7 @@ def test_newton_solve_example5_diagonal_dynamics():
     # the difference of the two rows of the full system is [1, -1] while
     # g1 - g2 = x1 - x2, so each unit Newton step lands exactly on the
     # diagonal x1 = x2; from there the iteration contracts to the origin
-    report = solve_newton_kkt(make_example(5), [-5.0], [1.0])
+    report = solve_newton_kkt(get_problem("examp5"), [-5.0], [1.0])
     first = report.trajectory[0]
     landing1 = first.x1 + first.d1
     landing2 = first.x2 + first.d2
@@ -62,7 +61,7 @@ def test_newton_solve_example5_diagonal_dynamics():
 
 
 def test_newton_step_zero_gradient():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     d1, d2 = newton_kkt_step(problem, residual_at(problem, [2.0], [1.0]))
     assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
 
@@ -98,14 +97,14 @@ def test_newton_one_step_on_random_quadratics():
 def test_jacobi_step_example1():
     # simultaneous per-player solves: x1 from 2x1 + 1 - 5 = 0, x2 from
     # 3x2 - (-5) - 1 = 0
-    x1_new, x2_new = jacobi_step_at(make_example(1), [-5.0], [1.0])
+    x1_new, x2_new = jacobi_step_at(get_problem("examp1"), [-5.0], [1.0])
     assert x1_new == pytest.approx([2.0], abs=1e-9)
     assert x2_new == pytest.approx([-4.0 / 3.0], abs=1e-9)
 
 
 def test_jacobi_solve_example1_converges():
     # spectral radius of the update map is sqrt(1/6) < 1
-    report = solve_exact_jacobi(make_example(1), [-5.0], [1.0])
+    report = solve_exact_jacobi(get_problem("examp1"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations <= 30
     assert report.final_x1 == pytest.approx([2.0], abs=1e-3)
@@ -114,9 +113,9 @@ def test_jacobi_solve_example1_converges():
 
 def test_jacobi_solve_example2_diverges():
     # spectral radius sqrt(6) > 1: residual norms eventually non-decreasing
-    report = solve_exact_jacobi(make_example(2), [-5.0], [1.0])
+    report = solve_exact_jacobi(get_problem("examp2"), [-5.0], [1.0])
     assert report.status is SolveStatus.DIVERGED
-    problem = make_example(2)
+    problem = get_problem("examp2")
     norms = [
         residual_at(problem, rec.x1, rec.x2).norm for rec in report.trajectory
     ]
@@ -126,8 +125,8 @@ def test_jacobi_solve_example2_diverges():
 
 def test_jacobi_example4_undefined():
     with pytest.raises(InnerSolveFailure):
-        jacobi_step_at(make_example(4), [-5.0], [1.0])
-    report = solve_exact_jacobi(make_example(4), [-5.0], [1.0])
+        jacobi_step_at(get_problem("examp4"), [-5.0], [1.0])
+    report = solve_exact_jacobi(get_problem("examp4"), [-5.0], [1.0])
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
 
@@ -145,7 +144,7 @@ def test_jacobi_diverges_on_quadratic_with_rho_above_one():
 def test_jacobi_example5_branch_from_current_coordinate():
     # the inner root find starts at the current coordinate, which selects
     # the nearer stationarity branch; from (-5, 1) that leads to the origin
-    report = solve_exact_jacobi(make_example(5), [-5.0], [1.0])
+    report = solve_exact_jacobi(get_problem("examp5"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert abs(report.final_x1[0]) <= 1e-3
     assert abs(report.final_x2[0]) <= 1e-3
@@ -165,7 +164,7 @@ def test_jacobi_quadratic_single_inner_newton_is_exact():
 def test_jacobi_inner_line_search_stalls_on_a_wrong_sign_hessian():
     # hess11 reports -2 where f1's curvature is 2: every inner Newton step
     # climbs the squared gradient norm, so the backtracking runs out
-    problem = dataclasses.replace(make_example(1), hess11=lambda x1, x2: np.array([[-2.0]]))
+    problem = dataclasses.replace(get_problem("examp1"), hess11=lambda x1, x2: np.array([[-2.0]]))
     with pytest.raises(InnerSolveFailure, match="stalled"):
         jacobi_step_at(problem, [-5.0], [1.0])
     report = solve_exact_jacobi(problem, [-5.0], [1.0])

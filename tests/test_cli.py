@@ -85,6 +85,7 @@ def test_solve_bad_x0_exit_code(tmp_path):
         (["diagnose", "--problem", "examp1", "--alpha", "2"], 64),
         (["facility-bench", "--runs", "1", "--solvers", ","], 64),
         (["solve", "--problem", "examp1", "--x0", "a,1"], 64),
+        (["solve", "--problem", "quadratic:+3:5x5"], 65),
     ],
 )
 def test_bad_input_exit_code_writes_nothing(tmp_path, capsys, args, code):

@@ -15,7 +15,6 @@ from nepsolve import (
     evaluate_residual,
     finite_diff_jacobian,
     get_problem,
-    make_example,
     solve,
     solve_newton_kkt,
     spectral_bounds_sym,
@@ -29,25 +28,25 @@ def residual_at(problem, x1, x2):
 
 def test_residual_example1_start():
     # hand differentiation: g1 = 2x1 + x2 - 5 = -14, g2 = 3x2 - x1 - 1 = 7
-    res = residual_at(make_example(1), [-5.0], [1.0])
+    res = residual_at(get_problem("examp1"), [-5.0], [1.0])
     assert res.g1 == pytest.approx([-14.0], abs=0)
     assert res.g2 == pytest.approx([7.0], abs=0)
     assert res.norm == pytest.approx(np.sqrt(245.0), rel=1e-15)
 
 
 def test_residual_example1_solution():
-    res = residual_at(make_example(1), [2.0], [1.0])
+    res = residual_at(get_problem("examp1"), [2.0], [1.0])
     assert res.norm == 0.0
 
 
 def test_residual_example5_stationary_point():
-    res = residual_at(make_example(5), [-1.0], [-1.0])
+    res = residual_at(get_problem("examp5"), [-1.0], [-1.0])
     assert res.g1 == pytest.approx([0.0], abs=0)
     assert res.g2 == pytest.approx([0.0], abs=0)
 
 
 def test_residual_norm_matches_stacked_vector():
-    problem = make_example(2)
+    problem = get_problem("examp2")
     rng = np.random.default_rng(7)
     for _ in range(20):
         x1, x2 = rng.uniform(-5, 5, size=(2, 1))
@@ -56,7 +55,7 @@ def test_residual_norm_matches_stacked_vector():
 
 
 def test_residual_is_pure():
-    problem = make_example(5)
+    problem = get_problem("examp5")
     a = residual_at(problem, [0.3], [-0.7])
     b = residual_at(problem, [0.3], [-0.7])
     assert np.array_equal(a.g1, b.g1) and np.array_equal(a.g2, b.g2)
@@ -65,7 +64,7 @@ def test_residual_is_pure():
 
 def test_residual_rejects_bad_shapes():
     with pytest.raises(ValueError):
-        residual_at(make_example(1), [1.0, 2.0], [1.0])
+        residual_at(get_problem("examp1"), [1.0, 2.0], [1.0])
 
 
 def test_residual_flags_non_finite_oracle():
@@ -145,21 +144,21 @@ def test_fd_gradient_facility_1d_matches_analytic():
 
 
 def test_fd_hessian_example1_own_block():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     x2 = np.array([1.0])
     block = finite_diff_jacobian(lambda z: problem.at(z, x2).grad1, np.array([-5.0]))
     assert block == pytest.approx(np.array([[2.0]]), abs=1e-6)
 
 
 def test_fd_hessian_example4_null_blocks():
-    problem = make_example(4)
+    problem = get_problem("examp4")
     x2 = np.array([1.0])
     block = finite_diff_jacobian(lambda z: problem.at(z, x2).grad1, np.array([-5.0]))
     assert block == pytest.approx(np.array([[0.0]]), abs=1e-9)
 
 
 def test_fd_hessian_example1_mixed_blocks():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     x1 = np.array([-5.0])
     x2 = np.array([1.0])
     m1 = finite_diff_jacobian(lambda z: problem.at(x1, z).grad1, x2)
@@ -204,30 +203,30 @@ def test_fallback_oracles_cover_missing_derivatives():
 
 
 def test_classify_example5_origin_is_equilibrium():
-    cls = classify_point(residual_at(make_example(5), [0.0], [0.0]), tol=1e-4)
+    cls = classify_point(residual_at(get_problem("examp5"), [0.0], [0.0]), tol=1e-4)
     assert cls.kind is PointKind.EQUILIBRIUM_CANDIDATE
 
 
 def test_classify_example5_other_stationary_point():
     # both own-blocks have second derivative -1 at (-1, -1)
-    cls = classify_point(residual_at(make_example(5), [-1.0], [-1.0]), tol=1e-4)
+    cls = classify_point(residual_at(get_problem("examp5"), [-1.0], [-1.0]), tol=1e-4)
     assert cls.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
     assert cls.min_eig_2 == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_classify_example3_stationary_point():
-    cls = classify_point(residual_at(make_example(3), [3.2], [-1.4]), tol=1e-4)
+    cls = classify_point(residual_at(get_problem("examp3"), [3.2], [-1.4]), tol=1e-4)
     assert cls.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
     assert cls.min_eig_2 == pytest.approx(-3.0, abs=1e-12)
 
 
 def test_classify_far_point_is_non_stationary():
-    cls = classify_point(residual_at(make_example(1), [-5.0], [1.0]), tol=1e-4)
+    cls = classify_point(residual_at(get_problem("examp1"), [-5.0], [1.0]), tol=1e-4)
     assert cls.kind is PointKind.NON_STATIONARY
 
 
 def test_classify_strict_minimizer_any_tolerance():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     for tol in (1e-12, 1e-6, 1.0):
         cls = classify_point(residual_at(problem, [2.0], [1.0]), tol=tol)
         assert cls.kind is PointKind.EQUILIBRIUM_CANDIDATE
@@ -236,12 +235,12 @@ def test_classify_strict_minimizer_any_tolerance():
 def test_classify_requires_positive_tolerance():
     for tol in (0.0, float("nan")):
         with pytest.raises(ValueError):
-            classify_point(residual_at(make_example(1), [2.0], [1.0]), tol=tol)
+            classify_point(residual_at(get_problem("examp1"), [2.0], [1.0]), tol=tol)
 
 
 @pytest.mark.parametrize("block", ["hess11", "hess22"])
 def test_classify_rejects_a_non_finite_hessian_block(block):
-    problem = replace(make_example(1), **{block: lambda x1, x2: np.array([[np.inf]])})
+    problem = replace(get_problem("examp1"), **{block: lambda x1, x2: np.array([[np.inf]])})
     with pytest.raises(NonFiniteEvaluation, match="Hessian"):
         classify_point(residual_at(problem, [2.0], [1.0]), tol=1e-6)
 
@@ -273,7 +272,7 @@ def test_min_eigs_are_spectral_bounds_read_once(eigvalsh_calls, point):
     # example 5's own blocks at these points: (1, 1), (-1, -1), (3, -1),
     # (-1, 3) and (0, 0.5); the Cholesky test settles the positive ones, and
     # eigvalsh decides -1 and 0
-    problem = make_example(5)
+    problem = get_problem("examp5")
     res = residual_at(problem, [point[0]], [point[1]])
     cls = classify_point(res, tol=10.0)
     decided = len(eigvalsh_calls)

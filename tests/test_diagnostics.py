@@ -13,7 +13,6 @@ from nepsolve import (
     SolverConfig,
     estimate_assumptions,
     get_problem,
-    make_example,
     monitor_stepsizes,
     partial_direction_sums,
     random_quadratic_nep,
@@ -28,7 +27,7 @@ from nepsolve.solver import IterateRecord, LineSearchCertificate, SolveReport
 
 def test_estimates_example1_exact_constants():
     # constant mixed blocks of size 1 and gradients with slopes 2 and 3
-    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=40, seed=2)
+    est = estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=40, seed=2)
     assert est.c_h == pytest.approx(1.0, abs=0)
     assert est.grad_lipschitz == pytest.approx(3.0, rel=1e-9)
 
@@ -40,7 +39,7 @@ def test_estimates_quadratic_remainder_vanishes():
 
 
 def test_estimates_monotone_in_sample_count():
-    problem = make_example(5)
+    problem = get_problem("examp5")
     small = estimate_assumptions(problem, box=(-5.0, 5.0), samples=20, seed=13)
     large = estimate_assumptions(problem, box=(-5.0, 5.0), samples=60, seed=13)
     assert large.c_h >= small.c_h
@@ -50,9 +49,9 @@ def test_estimates_monotone_in_sample_count():
 
 def test_estimates_validation():
     with pytest.raises(ValueError):
-        estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=1, seed=0)
+        estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=1, seed=0)
     with pytest.raises(ValueError):
-        estimate_assumptions(make_example(1), box=(5.0, -5.0), samples=10, seed=0)
+        estimate_assumptions(get_problem("examp1"), box=(5.0, -5.0), samples=10, seed=0)
 
 
 def test_estimates_reject_non_finite_probe_read():
@@ -75,8 +74,8 @@ def test_estimates_reject_non_finite_probe_read():
 
 def test_lemma_checks_skipped_when_hypothesis_fails():
     # the one-step run accepts t = 1 while the smallness bound is 1/6
-    report = solve(make_example(1), [-5.0], [1.0])
-    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=20, seed=1)
+    report = solve(get_problem("examp1"), [-5.0], [1.0])
+    est = estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=20, seed=1)
     lemma = verify_lemma_bounds(report, est)
     assert lemma.ok
     assert lemma.checked["direction-bound"] == 0
@@ -84,8 +83,8 @@ def test_lemma_checks_skipped_when_hypothesis_fails():
 
 
 def test_lemma_checks_example5_zero_violations():
-    report = solve(make_example(5), [-5.0], [1.0])
-    est = estimate_assumptions(make_example(5), box=(-5.0, 5.0), samples=30, seed=1)
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
+    est = estimate_assumptions(get_problem("examp5"), box=(-5.0, 5.0), samples=30, seed=1)
     lemma = verify_lemma_bounds(report, est)
     assert lemma.ok
     assert lemma.estimates.lambda_min is not None
@@ -140,7 +139,7 @@ def test_lemma_checks_handbuilt_stationary_record():
 def test_estimates_finite_on_a_box_whose_squares_overflow():
     # examp5's reads on a 1e60 box pass 1e154, where np.linalg.norm's sum of
     # squares overflows (and, under pytest's warning filters, raises)
-    est = estimate_assumptions(make_example(5), box=(-1e60, 1e60), samples=50, seed=0)
+    est = estimate_assumptions(get_problem("examp5"), box=(-1e60, 1e60), samples=50, seed=0)
     assert np.isfinite([est.c_h, est.grad_lipschitz, est.c_r]).all()
     assert est.grad_lipschitz == pytest.approx(1.5667372004967477e180, rel=1e-12)
     assert est.c_r == pytest.approx(1.7807167944828485e183, rel=1e-12)
@@ -156,8 +155,8 @@ def test_finite_norm_keeps_bits_until_the_squares_overflow():
 
 
 def test_lemma_report_serializes():
-    report = solve(make_example(5), [-5.0], [1.0])
-    est = estimate_assumptions(make_example(5), box=(-5.0, 5.0), samples=10, seed=1)
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
+    est = estimate_assumptions(get_problem("examp5"), box=(-5.0, 5.0), samples=10, seed=1)
     lemma = verify_lemma_bounds(report, est)
     payload = lemma.to_dict()
     assert payload["ok"] is True
@@ -167,16 +166,16 @@ def test_lemma_report_serializes():
 
 
 def test_verify_requires_trajectory():
-    report = solve(make_example(1), [2.0], [1.0])  # converges in 0 iterations
-    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
+    report = solve(get_problem("examp1"), [2.0], [1.0])  # converges in 0 iterations
+    est = estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=10, seed=0)
     with pytest.raises(ValueError):
         verify_lemma_bounds(report, est)
 
 
 @pytest.mark.parametrize("missing", ["problem", "config"])
 def test_verify_requires_problem_and_config(missing):
-    report = solve(make_example(1), [-5.0], [1.0])
-    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
+    report = solve(get_problem("examp1"), [-5.0], [1.0])
+    est = estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=10, seed=0)
     with pytest.raises(ValueError, match="problem and config"):
         verify_lemma_bounds(replace(report, **{missing: None}), est)
 
@@ -184,21 +183,21 @@ def test_verify_requires_problem_and_config(missing):
 @pytest.mark.parametrize("baseline", [solve_newton_kkt, solve_exact_jacobi])
 def test_verify_certifies_no_lemmas_for_baselines(baseline):
     # the lemmas bound descent-newton's surrogate system and line search
-    report = baseline(make_example(1), [-5.0], [1.0])
+    report = baseline(get_problem("examp1"), [-5.0], [1.0])
     assert report.trajectory
-    est = estimate_assumptions(make_example(1), box=(-5.0, 5.0), samples=10, seed=0)
+    est = estimate_assumptions(get_problem("examp1"), box=(-5.0, 5.0), samples=10, seed=0)
     assert verify_lemma_bounds(report, est) is None
 
 
 def test_monitor_stepsizes_example1():
-    report = solve(make_example(1), [-5.0], [1.0])
+    report = solve(get_problem("examp1"), [-5.0], [1.0])
     steps = monitor_stepsizes(report)
     assert steps.t_min_observed == 1.0
     assert steps.bounded_away_flag
 
 
 def test_monitor_stepsizes_example5():
-    report = solve(make_example(5), [-5.0], [1.0])
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
     steps = monitor_stepsizes(report)
     assert steps.t_min_observed >= 0.5
 
@@ -213,13 +212,13 @@ def test_monitor_stepsizes_quadratic_full_steps():
 
 
 def test_monitor_requires_nonempty_trajectory():
-    report = solve(make_example(1), [2.0], [1.0])
+    report = solve(get_problem("examp1"), [2.0], [1.0])
     with pytest.raises(ValueError):
         monitor_stepsizes(report)
 
 
 def test_partial_direction_sums():
-    report = solve(make_example(5), [-5.0], [1.0])
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
     s1, s2 = partial_direction_sums(report)
     assert s1 > 0 and s2 > 0
     assert s1 == pytest.approx(sum(np.linalg.norm(r.d1) for r in report.trajectory))

@@ -17,7 +17,6 @@ from nepsolve import (
     compute_direction,
     evaluate_residual,
     get_problem,
-    make_example,
     modified_cholesky,
     random_quadratic_nep,
     safeguard_mixed_blocks,
@@ -85,7 +84,7 @@ def test_config_validation():
     # and match the problem's player dimensions
     wrong_shape = SolverConfig(user_h1=np.eye(2), user_h2=[[1.0]])
     with pytest.raises(ValueError):
-        solve(make_example(1), [-5.0], [1.0], wrong_shape)
+        solve(get_problem("examp1"), [-5.0], [1.0], wrong_shape)
 
 
 def test_safeguard_keeps_blocks_for_active_players():
@@ -131,7 +130,7 @@ def test_direction_counterexample(counterexample_problem):
 
 def test_direction_example1_lands_on_solution():
     # hand solve of [[2, 1], [-1, 3]] d = (14, -7): d = (7, 0)
-    problem = make_example(1)
+    problem = get_problem("examp1")
     x1, x2 = np.array([-5.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[2.0]]))
@@ -143,7 +142,7 @@ def test_direction_example1_lands_on_solution():
 
 
 def test_direction_zero_gradient_gives_zero():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     x1, x2 = np.array([2.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
     H1, H2 = build_surrogates(res.point, SolverConfig())
@@ -152,7 +151,7 @@ def test_direction_zero_gradient_gives_zero():
 
 
 def test_direction_solves_assembled_system():
-    problem = make_example(5)
+    problem = get_problem("examp5")
     cfg = SolverConfig()
     x1, x2 = np.array([-5.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
@@ -181,7 +180,7 @@ def test_inequalities_reject_counterexample_direction(counterexample_problem):
 
 
 def test_inequalities_accept_example1_full_step():
-    problem = make_example(1)
+    problem = get_problem("examp1")
     x1, x2 = np.array([-5.0]), np.array([1.0])
     res = residual_at(problem, x1, x2)
     H1 = modified_cholesky(np.array([[2.0]]))
@@ -196,7 +195,7 @@ def test_inequalities_accept_example1_full_step():
 def test_inequalities_zero_direction_at_stationary_point():
     # d = 0 only ever comes out of the homogeneous system, i.e. g = 0;
     # there every inequality degenerates to 0 <= 0
-    problem = make_example(5)
+    problem = get_problem("examp5")
     x1, x2 = np.array([0.0]), np.array([0.0])
     res = residual_at(problem, x1, x2)
     d = np.zeros(1)
@@ -213,7 +212,7 @@ def test_inequalities_zero_direction_at_stationary_point():
 
 
 def test_solve_example1():
-    report = solve(make_example(1), [-5.0], [1.0])
+    report = solve(get_problem("examp1"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
     assert report.trajectory[0].certificate.backtracks == 0
@@ -222,7 +221,7 @@ def test_solve_example1():
 
 
 def test_solve_example2():
-    report = solve(make_example(2), [-5.0], [1.0])
+    report = solve(get_problem("examp2"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
     assert report.final_x1 == pytest.approx([4.0 / 7.0], abs=1e-10)
@@ -230,14 +229,14 @@ def test_solve_example2():
 
 
 def test_solve_example3_diverges():
-    report = solve(make_example(3), [-5.0], [1.0])
+    report = solve(get_problem("examp3"), [-5.0], [1.0])
     assert report.status is SolveStatus.DIVERGED
     assert report.final_residual == np.inf
     assert report.classification is None
 
 
 def test_solve_example4():
-    report = solve(make_example(4), [-5.0], [1.0])
+    report = solve(get_problem("examp4"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 1
     assert report.final_x1 == pytest.approx([0.7], abs=1e-3)
@@ -245,7 +244,7 @@ def test_solve_example4():
 
 
 def test_solve_example5():
-    report = solve(make_example(5), [-5.0], [1.0])
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert 5 <= report.iterations <= 13
     assert report.final_residual <= 1e-4
@@ -254,7 +253,7 @@ def test_solve_example5():
 
 
 def test_solve_starting_at_solution_takes_zero_iterations():
-    report = solve(make_example(1), [2.0], [1.0])
+    report = solve(get_problem("examp1"), [2.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 0
     assert report.trajectory == ()
@@ -262,14 +261,14 @@ def test_solve_starting_at_solution_takes_zero_iterations():
 
 def test_solve_rejects_bad_start_shape():
     with pytest.raises(ValueError):
-        solve(make_example(1), [1.0, 2.0], [1.0])
+        solve(get_problem("examp1"), [1.0, 2.0], [1.0])
 
 
 @pytest.mark.parametrize("run", [solve, solve_newton_kkt, solve_exact_jacobi])
 @pytest.mark.parametrize("x0", [([np.nan], [1.0]), ([1.0], [np.inf]), ([-np.inf], [np.nan])])
 def test_every_solver_rejects_a_non_finite_start(run, x0):
     with pytest.raises(ValueError, match="non-finite"):
-        run(make_example(1), *x0)
+        run(get_problem("examp1"), *x0)
 
 
 def _exp_game(exp):
@@ -302,18 +301,19 @@ def _exp_game(exp):
 def test_an_oracle_arithmetic_error_is_a_non_finite_evaluation(run, x0, status, iterations):
     # where np.exp overflows to inf, math.exp raises OverflowError: from
     # (-30, 1) at line-search trials near x1 = e^30, from (800, 0) at the
-    # start. The overflow warnings are ignored: exact-jacobi squares a finite
-    # trial gradient of order e^700 before it rejects the trial
+    # start. np.exp's own overflow warnings are ignored; the math.exp runs
+    # warn nowhere, though exact-jacobi squares a finite trial gradient of
+    # order e^700 before it rejects the trial
     with np.errstate(over="ignore"):
         expected = run(_exp_game(np.exp), [x0[0]], [x0[1]])
-        report = run(_exp_game(math.exp), [x0[0]], [x0[1]])
+    report = run(_exp_game(math.exp), [x0[0]], [x0[1]])
     assert (expected.status, expected.iterations) == (status, iterations)
     assert (report.status, report.iterations) == (status, iterations)
 
 
 def test_solve_is_deterministic():
-    a = solve(make_example(5), [-5.0], [1.0])
-    b = solve(make_example(5), [-5.0], [1.0])
+    a = solve(get_problem("examp5"), [-5.0], [1.0])
+    b = solve(get_problem("examp5"), [-5.0], [1.0])
     assert a.iterations == b.iterations
     for ra, rb in zip(a.trajectory, b.trajectory):
         assert np.array_equal(ra.x1, rb.x1) and np.array_equal(ra.x2, rb.x2)
@@ -322,7 +322,7 @@ def test_solve_is_deterministic():
 
 
 def test_trajectory_update_identity():
-    report = solve(make_example(5), [-5.0], [1.0])
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
     traj = report.trajectory
     for prev, nxt in zip(traj, traj[1:]):
         assert np.array_equal(nxt.x1, prev.x1 + prev.t * prev.d1)
@@ -332,7 +332,7 @@ def test_trajectory_update_identity():
 
 
 def test_certificates_recheck_from_records():
-    report = solve(make_example(5), [-5.0], [1.0])
+    report = solve(get_problem("examp5"), [-5.0], [1.0])
     cfg = report.config
     for rec in report.trajectory:
         checks = check_inequalities(
@@ -344,7 +344,7 @@ def test_certificates_recheck_from_records():
 
 
 def test_monotone_predicted_descent():
-    problem = make_example(5)
+    problem = get_problem("examp5")
     report = solve(problem, [-5.0], [1.0])
     for rec in report.trajectory:
         y1 = rec.x1 + rec.t * rec.d1
@@ -357,7 +357,7 @@ def test_monotone_predicted_descent():
 def test_gradient_bounded_by_block_norm_times_direction():
     # stacked gradient equals -H_t d at every accepted iterate, so its norm
     # is bounded by the measured block-matrix norm times ||d||
-    for problem, x0 in ((make_example(5), (-5.0, 1.0)), (make_example(1), (-5.0, 1.0))):
+    for problem, x0 in ((get_problem("examp5"), (-5.0, 1.0)), (get_problem("examp1"), (-5.0, 1.0))):
         report = solve(problem, [x0[0]], [x0[1]])
         cfg = report.config
         for rec in report.trajectory:
@@ -412,9 +412,9 @@ def test_identity_strategy_runs():
     # identity surrogates are user-supplied identity blocks: modified_cholesky
     # returns I unchanged, with shift 0
     cfg = SolverConfig(user_h1=np.eye(1), user_h2=np.eye(1), max_iter=5000)
-    for H in build_surrogates(make_example(1).at([-5.0], [1.0]), cfg):
+    for H in build_surrogates(get_problem("examp1").at([-5.0], [1.0]), cfg):
         assert np.array_equal(H.matrix, np.eye(1)) and H.shift == 0.0
-    report = solve(make_example(1), [-5.0], [1.0], cfg)
+    report = solve(get_problem("examp1"), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.CONVERGED
     assert report.final_x1 == pytest.approx([2.0], abs=1e-3)
 
@@ -422,15 +422,37 @@ def test_identity_strategy_runs():
 def test_overflowing_user_hessian_shift_is_undefined_step():
     # the doubling shift cannot make -1e13 positive below its 1e12 cap
     cfg = SolverConfig(user_h1=[[-1e13]], user_h2=[[1.0]])
-    report = solve(make_example(1), [-5.0], [1.0], cfg)
+    report = solve(get_problem("examp1"), [-5.0], [1.0], cfg)
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
+
+
+def test_user_surrogates_are_built_once_per_run(monkeypatch):
+    calls = []
+
+    def counted(H):
+        calls.append(H)
+        return modified_cholesky(H)
+
+    monkeypatch.setattr(solver_mod, "modified_cholesky", counted)
+    cfg = SolverConfig(user_h1=np.eye(2), user_h2=np.eye(2))
+    for run in (1, 2):
+        report = solve(get_problem("facility2d"), [2.0, 3.0], [-3.0, 2.0], cfg)
+        assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 15)
+        assert len(calls) == 2 * run
+    # the kept surrogates are the ones a fresh build makes, bit for bit
+    point = report.problem.at(report.final_x1, report.final_x2)
+    kept = build_surrogates(point, report.config)
+    assert len(calls) == 4
+    fresh = build_surrogates(point, SolverConfig(user_h1=np.eye(2), user_h2=np.eye(2)))
+    for a, b in zip(kept, fresh):
+        assert a.matrix.tobytes() == b.matrix.tobytes() and a.shift == b.shift
 
 
 def test_line_search_failure_status():
     # theta > 1 makes the angle inequality unsatisfiable for any nonzero
     # direction, so every trial step is rejected down to T_MIN
-    report = solve(make_example(1), [-5.0], [1.0], SolverConfig(theta=2.0))
+    report = solve(get_problem("examp1"), [-5.0], [1.0], SolverConfig(theta=2.0))
     assert report.status is SolveStatus.LINE_SEARCH_FAILURE
     assert report.trajectory == ()
 
@@ -458,7 +480,9 @@ def test_non_finite_hessian_diverges_under_every_solver():
 
     # a NaN mixed block: the two solvers that read it diverge at the start
     # point, and exact-jacobi, which reads no mixed block, converges
-    problem = dataclasses.replace(make_example(1), hess12_f1=lambda x1, x2: np.array([[np.nan]]))
+    problem = dataclasses.replace(
+        get_problem("examp1"), hess12_f1=lambda x1, x2: np.array([[np.nan]])
+    )
     for run in (solve, solve_newton_kkt):
         report = run(problem, [1.0], [1.0])
         assert report.status is SolveStatus.DIVERGED, run.__name__
@@ -485,7 +509,7 @@ def test_non_finite_trials_are_rejected():
     # f1 is NaN off the origin, and every trial from there moves both
     # players: each is rejected as non-finite down to T_MIN, and the run
     # ends diverged
-    example = make_example(1)
+    example = get_problem("examp1")
     problem = dataclasses.replace(
         example,
         f1=lambda x1, x2: example.f1(x1, x2) if x1[0] == x2[0] == 0.0 else np.nan,
@@ -540,14 +564,14 @@ def test_residual_evaluated_once_per_iterate():
     # newton-kkt needs the gradients only for the residual, which the run
     # loop evaluates once per iterate and hands to the step and to the
     # final classification
-    problem, calls = _count_gradient_calls(make_example(5))
+    problem, calls = _count_gradient_calls(get_problem("examp5"))
     report = solve_newton_kkt(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED
     assert calls == {"grad1": report.iterations + 1, "grad2": report.iterations + 1}
 
     # one descent step: residual at x0, the predicted gradients of the
     # accepted trial, residual at x1 (reused by the classification)
-    problem, calls = _count_gradient_calls(make_example(1))
+    problem, calls = _count_gradient_calls(get_problem("examp1"))
     report = solve(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED and report.iterations == 1
     assert calls == {"grad1": 3, "grad2": 3}
@@ -679,7 +703,7 @@ def test_exact_jacobi_evaluates_no_point_twice():
 def test_problem_without_point_oracle_solves_as_before():
     # examp5 has per-oracle callables only, so its points read them one at a
     # time; the report is the one recorded before the point oracle existed
-    problem = make_example(5)
+    problem = get_problem("examp5")
     assert problem.point is None
     report = solve(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.CONVERGED

@@ -23,10 +23,7 @@ from nepsolve import (
     classify_point,
     evaluate_residual,
     get_problem,
-    make_example,
     make_facility,
-    make_facility_1d_instance,
-    make_facility_2d_paper,
     modified_cholesky,
     random_quadratic_nep,
     solve,
@@ -51,7 +48,7 @@ KNOWN_EQUILIBRIA = {
 
 @pytest.mark.parametrize("example_id,point", sorted(KNOWN_EQUILIBRIA.items()))
 def test_examples_known_equilibria(example_id, point):
-    problem = make_example(example_id)
+    problem = get_problem(f"examp{example_id}")
     res = residual_at(problem, [point[0]], [point[1]])
     assert res.norm <= 1e-12
     cls = classify_point(res, tol=1e-6)
@@ -59,7 +56,7 @@ def test_examples_known_equilibria(example_id, point):
 
 
 def test_example3_has_no_equilibrium():
-    problem = make_example(3)
+    problem = get_problem("examp3")
     res = residual_at(problem, [3.2], [-1.4])
     assert res.norm <= 1e-12
     cls = classify_point(res, tol=1e-6)
@@ -67,20 +64,20 @@ def test_example3_has_no_equilibrium():
 
 
 def test_example4_null_own_blocks():
-    problem = make_example(4)
+    problem = get_problem("examp4")
     assert np.array_equal(problem.at([0.3], [0.9]).hess11, [[0.0]])
     assert np.array_equal(problem.at([-2.0], [5.0]).hess22, [[0.0]])
 
 
 def test_unknown_example_id():
     with pytest.raises(UnknownProblemId):
-        make_example(6)
+        get_problem("examp6")
 
 
 @pytest.mark.parametrize("example_id", [1, 2, 3, 4, 5])
 def test_example_derivatives_match_finite_differences(example_id):
     report = validate_derivatives(
-        make_example(example_id), box=(-5.0, 5.0), samples=20, seed=11
+        get_problem(f"examp{example_id}"), box=(-5.0, 5.0), samples=20, seed=11
     )
     assert report["max_rel_err_grad1"] <= 1e-5
     assert report["max_rel_err_grad2"] <= 1e-5
@@ -126,7 +123,7 @@ def test_hessian_blocks_match_central_differences(problem_id):
 
 
 def test_validate_derivatives_flags_wrong_mixed_block():
-    good = make_example(1)
+    good = get_problem("examp1")
     wrong = NepProblem(
         n1=1,
         n2=1,
@@ -187,7 +184,7 @@ def test_facility_symmetric_instance():
 
 def test_validate_derivatives_needs_a_sample():
     with pytest.raises(ValueError, match="at least one sample"):
-        validate_derivatives(make_example(1), box=(-1.0, 1.0), samples=0, seed=0)
+        validate_derivatives(get_problem("examp1"), box=(-1.0, 1.0), samples=0, seed=0)
 
 
 def test_validate_derivatives_gives_up_when_every_draw_is_excluded():
@@ -317,7 +314,7 @@ def test_facility_relabeling_invariance():
 
 
 def test_facility_2d_paper_instance():
-    problem = make_facility_2d_paper()
+    problem = get_problem("facility2d")
     assert problem.n1 == 2 and problem.n2 == 2
     res = residual_at(problem, [0.3, -0.4], [1.2, 0.8])
     assert np.isfinite(res.norm)
@@ -525,6 +522,10 @@ def test_generated_dense_game_bits_on_one_blas_thread():
 def test_registry_ids_resolve():
     for pid in ("examp1", "examp2", "examp3", "examp4", "examp5", "facility1d", "facility2d"):
         assert get_problem(pid).name == pid
+        # every call builds a new problem: runs never share an oracle or its caches
+        assert get_problem(pid) is not get_problem(pid)
+    for pid in ("facility1d", "facility2d"):
+        assert get_problem(pid).point is not get_problem(pid).point
     problem = get_problem("quadratic:7:2x3")
     assert problem.n1 == 2 and problem.n2 == 3
 
@@ -532,7 +533,17 @@ def test_registry_ids_resolve():
 def test_registry_rejects_unknown_and_malformed():
     with pytest.raises(UnknownProblemId):
         get_problem("examp9")
-    for bad in ("quadratic:7:2by3", "quadratic:0:0x3", "quadratic:-1:2x2"):
+    # one spelling per game: each id is the game's name and output file stem
+    non_canonical = (
+        "quadratic:1_0:5x5",
+        "quadratic: 3:5x5",
+        "quadratic:+3:5x5",
+        "quadratic:03:5x5",
+        "quadratic:3:05x5",
+        "quadratic:\u0663:5x5",
+        "quadratic:3:5x5 ",
+    )
+    for bad in ("quadratic:7:2by3", "quadratic:0:0x3", "quadratic:-1:2x2") + non_canonical:
         with pytest.raises(UnknownProblemId):
             get_problem(bad)
 
@@ -597,7 +608,12 @@ def facility_instances():
     """facility1d, facility2d and the asymmetric-profit instances of
     test_facility_hessian_blocks_closed_form."""
     instances = {
-        "facility1d": make_facility_1d_instance(),
+        "facility1d": FacilityInstance(
+            dim=1,
+            clients=np.array([[1.0], [-1.0], [3.0]]),
+            profits1=np.ones(3),
+            profits2=np.ones(3),
+        ),
         "facility2d": FacilityInstance(
             dim=2,
             clients=np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
