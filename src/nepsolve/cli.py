@@ -99,15 +99,15 @@ def run_solver(problem, solver, x1, x2, config):
 
 
 def _plain(value):
-    """A dataclass as a dict of its fields in field order (and of nothing
-    else it holds), a tuple as a list and an ndarray as a list of floats,
-    recursively; anything else as it is."""
+    """A dataclass as a dict of its fields in field order (vars() lists them
+    in the order __init__ sets them), a tuple as a list and an ndarray as a
+    list of floats, recursively; anything else as it is."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     if hasattr(value, "__dataclass_fields__"):
-        return {name: _plain(getattr(value, name)) for name in value.__dataclass_fields__}
+        return {name: _plain(v) for name, v in vars(value).items()}
     return value
 
 

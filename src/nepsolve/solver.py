@@ -189,15 +189,9 @@ def _exact_surrogate(block):
 def build_surrogates(point, config):
     """Positive definite per-player Hessian surrogates for one iteration,
     from the config's user_h1/user_h2 when given and otherwise from the
-    Hessian blocks of point, the problem's evaluation at the iterate. The
-    user surrogates are made once per config and kept on it, not as a field.
-    """
+    Hessian blocks of point, the problem's evaluation at the iterate."""
     if config.user_h1 is not None:
-        pair = vars(config).get("_user_surrogates")
-        if pair is None:
-            pair = modified_cholesky(config.user_h1), modified_cholesky(config.user_h2)
-            object.__setattr__(config, "_user_surrogates", pair)
-        return pair
+        return modified_cholesky(config.user_h1), modified_cholesky(config.user_h2)
     h11 = point.hess11
     h22 = point.hess22
     if not (np.isfinite(h11).all() and np.isfinite(h22).all()):
@@ -350,8 +344,6 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     config = config or SolverConfig()
     if problem.escape_radius < config.divergence_radius:
         config = replace(config, divergence_radius=problem.escape_radius)
-    elif config.user_h1 is not None:
-        config = replace(config)  # the run's own, to keep its user surrogates
     x1 = np.atleast_1d(np.asarray(x0_1, dtype=float)).copy()
     x2 = np.atleast_1d(np.asarray(x0_2, dtype=float)).copy()
     if x1.shape != (problem.n1,) or x2.shape != (problem.n2,):

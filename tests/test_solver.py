@@ -427,28 +427,6 @@ def test_overflowing_user_hessian_shift_is_undefined_step():
     assert report.iterations == 0
 
 
-def test_user_surrogates_are_built_once_per_run(monkeypatch):
-    calls = []
-
-    def counted(H):
-        calls.append(H)
-        return modified_cholesky(H)
-
-    monkeypatch.setattr(solver_mod, "modified_cholesky", counted)
-    cfg = SolverConfig(user_h1=np.eye(2), user_h2=np.eye(2))
-    for run in (1, 2):
-        report = solve(get_problem("facility2d"), [2.0, 3.0], [-3.0, 2.0], cfg)
-        assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 15)
-        assert len(calls) == 2 * run
-    # the kept surrogates are the ones a fresh build makes, bit for bit
-    point = report.problem.at(report.final_x1, report.final_x2)
-    kept = build_surrogates(point, report.config)
-    assert len(calls) == 4
-    fresh = build_surrogates(point, SolverConfig(user_h1=np.eye(2), user_h2=np.eye(2)))
-    for a, b in zip(kept, fresh):
-        assert a.matrix.tobytes() == b.matrix.tobytes() and a.shift == b.shift
-
-
 def test_line_search_failure_status():
     # theta > 1 makes the angle inequality unsatisfiable for any nonzero
     # direction, so every trial step is rejected down to T_MIN
