@@ -13,14 +13,17 @@ pivot rule for declaring the block system singular; one positive
 semidefinite floor, PSD_FLOOR, and one test against it, `psd_test`, which
 the surrogate build and the final classification share (one Cholesky,
 LAPACK's potrf, settles most blocks, and eigvalsh decides the rest); and a
-doubling diagonal shift, decided by the same potrf, that turns a Hessian
-block into a positive definite surrogate. A non-finite matrix is rejected
-with NonFiniteEvaluation, the one verdict that every solver reports as
-divergence. The block system is assembled in Fortran order, the layout
-LAPACK factors, so getrf can factor it where it lies: `lu_solve` with
-`overwrite_a=True` is the one routine here that may write to an argument,
-and only to a matrix its caller owns. No other routine writes to
-its arguments, and none copies an n x n matrix that it does not need.
+doubling diagonal shift that turns a Hessian block into a positive definite
+surrogate. The surrogate build factors each block once: the potrf of the
+PSD test both decides the surrogate and, when it succeeds, builds it with
+shift 0, so `modified_cholesky` neither checks nor factors the block again.
+A non-finite matrix is rejected with NonFiniteEvaluation, the one verdict
+that every solver reports as divergence. The block system is assembled in
+Fortran order, the layout LAPACK factors, so getrf can factor it where it
+lies: `lu_solve` with `overwrite_a=True` is the one routine here that may
+write to an argument, and only to a matrix its caller owns. No other
+routine writes to its arguments, and none copies an n x n matrix that it
+does not need.
 
 The public kernels validate their arguments at the boundary, and each check
 is cheap on what the solvers pass, 2-D float64 arrays: such an array is
@@ -193,7 +196,7 @@ def _symmetric_part(H):
     return H if symmetric else 0.5 * (H + H.T)
 
 
-def modified_cholesky(H):
+def modified_cholesky(H, *, factored=None):
     """Positive definite surrogate of a symmetric H by diagonal shifting.
 
     Returns H + delta*I with the smallest delta in {0, PSD_FLOOR,
@@ -201,20 +204,28 @@ def modified_cholesky(H):
     with pivots at least PSD_FLOOR * CHOL_PIVOT_SAFETY. An already
     sufficiently positive definite H is returned unchanged (shift 0).
     Raises NonFiniteEvaluation for a non-finite H, which no shift makes
-    positive definite.
-    """
-    H = _as_matrix(H)
-    if H.shape[0] != H.shape[1]:
-        raise DimensionMismatch(f"matrix must be square, got {H.shape}")
-    if not np.isfinite(H).all():
-        raise NonFiniteEvaluation("modified_cholesky requires finite entries")
-    S = _symmetric_part(H)
-    # a bitwise symmetric H passes the tolerance test by construction
-    if S is not H and not _is_symmetric(H):
-        raise ValueError("modified_cholesky requires a symmetric matrix")
-    H = S
+    positive definite, and ValueError for an asymmetric one.
 
-    if _chol_succeeds(H):
+    factored is the verdict of a potrf already run on H: the third item of
+    `_psd_verdict(H)` for a finite, bitwise symmetric 2-D float64 H, as the
+    surrogate build has it. Given, H is taken as it is, without the
+    boundary checks: True returns H with shift 0 and False starts the
+    search at PSD_FLOOR, so that delta = 0 is not factored a second time.
+    """
+    if factored is None:
+        H = _as_matrix(H)
+        if H.shape[0] != H.shape[1]:
+            raise DimensionMismatch(f"matrix must be square, got {H.shape}")
+        if not np.isfinite(H).all():
+            raise NonFiniteEvaluation("modified_cholesky requires finite entries")
+        S = _symmetric_part(H)
+        # a bitwise symmetric H passes the tolerance test by construction
+        if S is not H and not _is_symmetric(H):
+            raise ValueError("modified_cholesky requires a symmetric matrix")
+        H = S
+        factored = _chol_succeeds(H)
+
+    if factored:
         # + 0.0 gives the result its own memory and turns any -0.0 entry
         # into 0.0, as the shifted attempts' H + delta*I does
         return SpdSurrogate(matrix=H + 0.0, shift=0.0)
@@ -262,6 +273,17 @@ def _trace(M):
     return M.trace()
 
 
+def _psd_verdict(S):
+    """(psd, min_eig, factored): psd_test's verdict on S, and whether its
+    potrf factored S with pivots at least PSD_FLOOR * CHOL_PIVOT_SAFETY,
+    which is `modified_cholesky`'s test for shift 0."""
+    factored = _chol_succeeds(S)
+    if factored and CHOL_ROUNDING * S.shape[0] * _trace(S) <= PSD_FLOOR:
+        return True, None, True
+    min_eig = float(np.linalg.eigvalsh(S)[0])
+    return min_eig >= -PSD_FLOOR, min_eig, factored
+
+
 def psd_test(S):
     """(psd, min_eig): whether S is positive semidefinite up to PSD_FLOOR.
 
@@ -275,11 +297,12 @@ def psd_test(S):
     eigvalsh, backward stable, errs by order n * eps * ||S|| <= n * eps *
     trace, so below that bound eigvalsh cannot put an eigenvalue of S under
     -PSD_FLOOR; the factor 16 in CHOL_ROUNDING is margin.
+
+    The same potrf is the shift search's first attempt: the surrogate build
+    reads it from `_psd_verdict` and hands it to `modified_cholesky`.
     """
-    if _chol_succeeds(S) and CHOL_ROUNDING * S.shape[0] * _trace(S) <= PSD_FLOOR:
-        return True, None
-    min_eig = float(np.linalg.eigvalsh(S)[0])
-    return min_eig >= -PSD_FLOOR, min_eig
+    psd, min_eig, _ = _psd_verdict(S)
+    return psd, min_eig
 
 
 def _block(h):

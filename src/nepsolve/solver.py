@@ -40,11 +40,11 @@ from .linalg import (
     SingularMatrixError,
     SpdSurrogate,
     _is_symmetric,
+    _psd_verdict,
     _symmetric_part,
     assemble_block_system,
     lu_solve,
     modified_cholesky,
-    psd_test,
 )
 
 
@@ -180,10 +180,13 @@ def _exact_surrogate(block):
     # Blocks with genuine negative curvature fall back to the identity: a
     # barely-shifted indefinite block is nearly singular and produces huge
     # directions that the line search then has to shrink away.
+    # The PSD test's potrf is the shift search's first attempt, so the block
+    # is symmetrized, checked and factored once.
     block = _symmetric_part(block)
-    if not psd_test(block)[0]:
+    psd, _, factored = _psd_verdict(block)
+    if not psd:
         return SpdSurrogate(np.eye(block.shape[0]), 0.0)
-    return modified_cholesky(block)
+    return modified_cholesky(block, factored=factored)
 
 
 def build_surrogates(point, config):

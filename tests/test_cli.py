@@ -281,6 +281,18 @@ def test_bench_tracer_counts_identity_fallbacks(monkeypatch):
     assert tracer.identity_fallbacks == indefinite
 
 
+def test_bench_selfcheck_passes():
+    # the benchmark's checkers accept the program's real outputs and catch
+    # wrong ones; run here, they meet every change to the program too
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "selfcheck.py")],
+        cwd=root, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.rstrip().endswith("selfcheck: every check behaves")
+
+
 def test_usage_error_exit_code():
     # solve has no --seed: its runs use no randomness
     for args in (["solve", "--no-such-flag"], ["solve", "--problem", "examp1", "--seed", "1"]):

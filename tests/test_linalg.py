@@ -296,6 +296,30 @@ def test_modified_cholesky_rejects_non_finite(monkeypatch, H):
 
 
 @pytest.mark.parametrize("diagonal", [
+    [2.0, 3.0], [-0.0, 1.0], [0.0, 1.0], [1e-12, 1.0], [-5e-9, 1.0],
+], ids=str)
+def test_modified_cholesky_reuses_the_psd_verdict(monkeypatch, diagonal):
+    # the verdict's potrf is the search's first attempt: the same surrogate,
+    # one factorization fewer
+    S = np.diag(diagonal)
+    potrf_calls = []
+    real = linalg_mod.lapack.dpotrf
+    monkeypatch.setattr(
+        linalg_mod.lapack, "dpotrf", lambda *a, **kw: potrf_calls.append(1) or real(*a, **kw)
+    )
+    ref = modified_cholesky(S)
+    checked = len(potrf_calls)
+    psd, _, factored = linalg_mod._psd_verdict(S)
+    potrf_calls.clear()
+    out = modified_cholesky(S, factored=factored)
+    assert psd
+    assert len(potrf_calls) == checked - 1
+    assert np.array_equal(out.matrix.view(np.uint64), ref.matrix.view(np.uint64))
+    assert out.shift == ref.shift
+    assert out.matrix is not S
+
+
+@pytest.mark.parametrize("diagonal", [
     [2.0], [1e7], [1.0, 2.0], [1.0, 1e7], [1e7, 1.0], [1.0, 1e-12], [1e-12, 1.0],
     [1.0, 2.0, 3.0], [1.0, 1.0, 1e7], [1.0, 1.0, 1e-12],
 ], ids=str)
@@ -428,6 +452,13 @@ REJECTED = {
     "modified_cholesky-asymmetric": (modified_cholesky, ([[1, 2], [0, 1]],), ValueError),
     "modified_cholesky-nan": (modified_cholesky, ([[np.nan]],), NonFiniteEvaluation),
     "modified_cholesky-inf": (modified_cholesky, (np.diag([np.inf, 1.0]),), NonFiniteEvaluation),
+    # the one-argument call keeps its checks at the dense workload's block size
+    "modified_cholesky-asymmetric-150": (
+        modified_cholesky, (np.eye(150) + np.eye(150, k=149),), ValueError,
+    ),
+    "modified_cholesky-nan-150": (
+        modified_cholesky, (np.diag([1.0] * 149 + [np.nan]),), NonFiniteEvaluation,
+    ),
     "spectral_bounds_sym-non-square": (spectral_bounds_sym, (np.ones((2, 3)),), DimensionMismatch),
 }
 

@@ -739,7 +739,7 @@ def _seeded_block(kind, n, seed):
     return block
 
 
-@pytest.mark.parametrize("n", [1, 2, 5, 40])
+@pytest.mark.parametrize("n", [1, 2, 5, 40, 150])
 @pytest.mark.parametrize(
     "kind",
     ["positive-definite", "diagonal-negative-zeros", "null", "near-psd", "psd-singular",
@@ -749,7 +749,7 @@ def test_cholesky_first_surrogate_matches_eigvalsh_rule(monkeypatch, kind, n):
     calls = []
     real = solver_mod.modified_cholesky
     monkeypatch.setattr(
-        solver_mod, "modified_cholesky", lambda H: calls.append(1) or real(H)
+        solver_mod, "modified_cholesky", lambda H, **kw: calls.append(1) or real(H, **kw)
     )
     cholesky_passed_eigvalsh_negative = 0
     for seed in range(5):

@@ -27,16 +27,16 @@ STUDY_STARTS = 20
 #: per-solve counts over the study's first starts: LAPACK's potrf and
 #: getrf, np.linalg.eigvalsh, point oracle evaluations and halves built
 FACILITY_COUNTS = {
-    "descent-newton": {"potrf": 28.85, "getrf": 11.4, "eigvalsh": 4.15, "points": 42.95, "halves": 24.8},
+    "descent-newton": {"potrf": 17.45, "getrf": 11.4, "eigvalsh": 4.15, "points": 42.95, "halves": 24.8},
     "newton-kkt": {"getrf": 8.95, "points": 8.95, "halves": 17.9},
 }
 
 #: counts of one solve of quadratic:7:150x150 from the origin: one Newton
-#: iteration; descent-newton factors each surrogate twice (the PSD test,
-#: then the modified Cholesky) and both solvers test the two blocks at the
-#: end, for the classification
+#: iteration; descent-newton factors each surrogate once (the PSD test's
+#: potrf also builds it) and both solvers test the two blocks at the end,
+#: for the classification
 DENSE_COUNTS = {
-    "descent-newton": {"potrf": 6, "getrf": 1},
+    "descent-newton": {"potrf": 4, "getrf": 1},
     "newton-kkt": {"potrf": 2, "getrf": 1},
 }
 
