@@ -285,6 +285,8 @@ def cmd_diagnose(args):
     lemma bounds on the run ("lemma_report" is null for the baselines)."""
     if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
+    if args.samples < 2:
+        raise UsageError(f"--samples must be >= 2, got {args.samples}")
     problem, report = _run(args)
     box = (args.box_low, args.box_high)
     try:

@@ -340,9 +340,10 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     raises, and only this loop turns a failure into a status: a non-finite
     evaluation, or an oracle's ArithmeticError, is DIVERGED, an exhausted
     line search LINE_SEARCH_FAILURE, a singular system, failed inner solve
-    or overflowing Hessian shift UNDEFINED_STEP. Malformed inputs (a start point of the wrong shape or
-    not finite, a user Hessian of the wrong shape) raise ValueError on
-    entry, the only place the loop validates a point.
+    or overflowing Hessian shift UNDEFINED_STEP. Malformed inputs (a start
+    point of the wrong shape or not finite, a user Hessian of the wrong
+    shape) raise ValueError on entry, the only place the loop validates a
+    point.
     """
     config = config or SolverConfig()
     if problem.escape_radius < config.divergence_radius:

@@ -1,6 +1,8 @@
 """Built-in problem instances: five one-dimensional games, the competitive
 facility location model in 1-D and 2-D, and a seeded generator of strictly
-convex quadratic games."""
+convex quadratic games. Four of the five examples, examp1-4, are
+linear-quadratic `QuadraticNep` games, one coefficient row each; examp5 is
+cubic."""
 
 import re
 from dataclasses import dataclass
@@ -18,77 +20,6 @@ class UnknownProblemId(ValueError):
 
 class GenerationFailure(RuntimeError):
     """Random instance generation kept producing singular full matrices."""
-
-
-def _example1():
-    # strictly convex quadratic pair, diagonally dominant; equilibrium (2, 1)
-    return NepProblem(
-        n1=1,
-        n2=1,
-        f1=lambda x1, x2: x1[0] ** 2 + x1[0] * x2[0] - 5.0 * x1[0],
-        f2=lambda x1, x2: 1.5 * x2[0] ** 2 - x1[0] * x2[0] - x2[0],
-        grad1=lambda x1, x2: np.array([2.0 * x1[0] + x2[0] - 5.0]),
-        grad2=lambda x1, x2: np.array([3.0 * x2[0] - x1[0] - 1.0]),
-        hess11=lambda x1, x2: np.array([[2.0]]),
-        hess22=lambda x1, x2: np.array([[3.0]]),
-        hess12_f1=lambda x1, x2: np.array([[1.0]]),
-        hess21_f2=lambda x1, x2: np.array([[-1.0]]),
-        name="examp1",
-    )
-
-
-def _example2():
-    # strictly convex quadratic pair whose best-response iteration expands;
-    # equilibrium (4/7, 33/7)
-    return NepProblem(
-        n1=1,
-        n2=1,
-        f1=lambda x1, x2: 0.25 * x1[0] ** 2 + x1[0] * x2[0] - 5.0 * x1[0],
-        f2=lambda x1, x2: x2[0] ** 2 / 6.0 - x1[0] * x2[0] - x2[0],
-        grad1=lambda x1, x2: np.array([0.5 * x1[0] + x2[0] - 5.0]),
-        grad2=lambda x1, x2: np.array([x2[0] / 3.0 - x1[0] - 1.0]),
-        hess11=lambda x1, x2: np.array([[0.5]]),
-        hess22=lambda x1, x2: np.array([[1.0 / 3.0]]),
-        hess12_f1=lambda x1, x2: np.array([[1.0]]),
-        hess21_f2=lambda x1, x2: np.array([[-1.0]]),
-        name="examp2",
-    )
-
-
-def _example3():
-    # player 2 maximizes in disguise: no equilibrium, a stationary point at
-    # (3.2, -1.4)
-    return NepProblem(
-        n1=1,
-        n2=1,
-        f1=lambda x1, x2: x1[0] ** 2 + x1[0] * x2[0] - 5.0 * x1[0],
-        f2=lambda x1, x2: -1.5 * x2[0] ** 2 - x1[0] * x2[0] - x2[0],
-        grad1=lambda x1, x2: np.array([2.0 * x1[0] + x2[0] - 5.0]),
-        grad2=lambda x1, x2: np.array([-3.0 * x2[0] - x1[0] - 1.0]),
-        hess11=lambda x1, x2: np.array([[2.0]]),
-        hess22=lambda x1, x2: np.array([[-3.0]]),
-        hess12_f1=lambda x1, x2: np.array([[1.0]]),
-        hess21_f2=lambda x1, x2: np.array([[-1.0]]),
-        name="examp3",
-    )
-
-
-def _example4():
-    # mixed-strategy vaccine game: bilinear objectives, null per-player
-    # Hessians, equilibrium (0.7, 0.6)
-    return NepProblem(
-        n1=1,
-        n2=1,
-        f1=lambda x1, x2: -x1[0] * (0.6 - x2[0]),
-        f2=lambda x1, x2: x2[0] * (0.7 - x1[0]),
-        grad1=lambda x1, x2: np.array([x2[0] - 0.6]),
-        grad2=lambda x1, x2: np.array([0.7 - x1[0]]),
-        hess11=lambda x1, x2: np.array([[0.0]]),
-        hess22=lambda x1, x2: np.array([[0.0]]),
-        hess12_f1=lambda x1, x2: np.array([[1.0]]),
-        hess21_f2=lambda x1, x2: np.array([[-1.0]]),
-        name="examp4",
-    )
 
 
 def _example5():
@@ -334,7 +265,8 @@ def _facility2d():
 
 @dataclass(frozen=True)
 class QuadraticNep:
-    """f_i(x_i, x_o) = 1/2 x_i^T A_i x_i + (B_i x_o - c_i)^T x_i with A_i SPD."""
+    """f_i(x_i, x_o) = 1/2 x_i^T A_i x_i + (B_i x_o - c_i)^T x_i with A_i
+    symmetric; `random_quadratic_nep` draws them SPD."""
 
     A1: np.ndarray
     A2: np.ndarray
@@ -449,13 +381,25 @@ def random_quadratic_nep(n1, n2, seed):
 # ---------------------------------------------------------------------------
 
 
-# each builder makes a new problem, so runs never share an oracle or its
-# caches; the five examples have analytic gradients and all four blocks
+def _linear_quadratic(name, a1, a2, b1, b2, c1, c2):
+    """The one-dimensional game f_i = 1/2 a_i x_i^2 + (b_i x_o - c_i) x_i."""
+    A1, A2, B1, B2 = (np.array([[v]], dtype=float) for v in (a1, a2, b1, b2))
+    c1, c2 = (np.array([v], dtype=float) for v in (c1, c2))
+    return QuadraticNep(A1, A2, B1, B2, c1, c2).to_problem(name)
+
+
+# each builder makes a new problem, with new arrays, so runs never share an
+# oracle or its data; the five examples have analytic gradients and all four
+# blocks, examp1-4 as linear-quadratic rows (a1, a2, b1, b2, c1, c2)
 _BUILDERS = {
-    "examp1": _example1,
-    "examp2": _example2,
-    "examp3": _example3,
-    "examp4": _example4,
+    # strictly convex, diagonally dominant; equilibrium (2, 1)
+    "examp1": partial(_linear_quadratic, "examp1", 2.0, 3.0, 1.0, -1.0, 5.0, 1.0),
+    # strictly convex, best responses expand; equilibrium (4/7, 33/7)
+    "examp2": partial(_linear_quadratic, "examp2", 0.5, 1.0 / 3.0, 1.0, -1.0, 5.0, 1.0),
+    # player 2 maximizes in disguise: no equilibrium, stationary point (3.2, -1.4)
+    "examp3": partial(_linear_quadratic, "examp3", 2.0, -3.0, 1.0, -1.0, 5.0, 1.0),
+    # mixed-strategy vaccine game: bilinear, null own blocks; equilibrium (0.7, 0.6)
+    "examp4": partial(_linear_quadratic, "examp4", 0.0, 0.0, 1.0, -1.0, 0.6, -0.7),
     "examp5": _example5,
     "facility1d": _facility1d,
     "facility2d": _facility2d,

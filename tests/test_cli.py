@@ -101,6 +101,17 @@ def test_diagnose_negative_seed_names_the_flag(tmp_path, capsys):
     assert "--seed must be >= 0, got -1" in capsys.readouterr().err
 
 
+def test_diagnose_one_sample_fails_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, out = run_cli(["diagnose", "--problem", "examp1", "--samples", "1"], tmp_path)
+    assert code == 64
+    assert not out.exists()
+    assert "--samples must be >= 2, got 1" in capsys.readouterr().err
+
+
 def test_cli_commands_leave_numpy_random_unimported(tmp_path):
     # in a fresh interpreter: pytest's own process has loaded numpy.random
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

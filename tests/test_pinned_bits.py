@@ -96,7 +96,7 @@ SOLVE_SHA256 = {
     ),
     ("examp1", "exact-jacobi"): (
         "cfed938bbdf05de3050c52726fbe5f329bf425cad5c23585b4fa506fac337e7c",
-        "e5bdd23fcf175765781d6a033f60f8d1db12b6e0cdf588be1fd7167e18e19300",
+        "4aa8964e3cd106b022ae8a62ea8d2d1336be59ce1c6d8ef727eeb92939987ebe",
     ),
     ("examp2", "descent-newton"): (
         "e5868543eaa28a3e251aa613470f60e6d1e89cea771866ed0fe23c973fb8d20f",
@@ -112,7 +112,7 @@ SOLVE_SHA256 = {
     ),
     ("examp3", "descent-newton"): (
         "1c8cd21e35e33b21e5be891330784a1d284a4822b68a7cfa10396cde641133d5",
-        "8d25d87a86b12842b1e9f9e49b84f8a113f9f9e1c9a936748e15f69868b16126",
+        "c072656430d829d1aab3d378e1d80b6dd122667565837df3f9fcd124a38ff723",
     ),
     ("examp3", "newton-kkt"): (
         "d4872fee93d746218f3e013b4aeddeff8786a8af4ad0327ab30c4a97889709b2",
@@ -120,7 +120,7 @@ SOLVE_SHA256 = {
     ),
     ("examp3", "exact-jacobi"): (
         "ce580d04a5ada725d67d849efef31fec5d9b44a405fe2a8c9d1f86a856985628",
-        "e553327d8267a8a071f9bd73ada089f276701dca3fd5e38df9896c304a1eb4e2",
+        "6677df7013214d6ba20c08c9ba65d598c9a1168597cf942562e3079c46ebdb4c",
     ),
     ("examp4", "descent-newton"): (
         "2d497141431816541c6c456510d26fd1371995ec1d80d148412ca757e88bcd71",

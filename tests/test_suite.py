@@ -33,6 +33,7 @@ from nepsolve import (
 from nepsolve.cli import resolve_x0
 from nepsolve.core import finite_diff_jacobian
 from nepsolve.linalg import _is_symmetric
+from nepsolve.suite import QuadraticNep
 
 
 def residual_at(problem, x1, x2):
@@ -45,6 +46,32 @@ KNOWN_EQUILIBRIA = {
     5: (0.0, 0.0),
 }
 
+#: examp1-4's coefficient rows (a1, a2, b1, b2, c1, c2) of the
+#: linear-quadratic game f_i = 1/2 a_i x_i^2 + (b_i x_o - c_i) x_i
+EXAMPLE_ROWS = {
+    1: (2.0, 3.0, 1.0, -1.0, 5.0, 1.0),
+    2: (0.5, 1.0 / 3.0, 1.0, -1.0, 5.0, 1.0),
+    3: (2.0, -3.0, 1.0, -1.0, 5.0, 1.0),
+    4: (0.0, 0.0, 1.0, -1.0, 0.6, -0.7),
+}
+
+
+def row_stationary_point(example_id):
+    a1, a2, b1, b2, c1, c2 = EXAMPLE_ROWS[example_id]
+    game = QuadraticNep(*(np.array([[v]]) for v in (a1, a2, b1, b2)), np.array([c1]), np.array([c2]))
+    x1, x2 = game.equilibrium()
+    return x1[0], x2[0]
+
+
+def assert_is_the_row(example_id, point):
+    """The documented point is the row's stationary point, and the blocks of
+    the built-in problem there are the row's coefficients, bit for bit."""
+    assert np.allclose(row_stationary_point(example_id), point, rtol=0.0, atol=1e-12)
+    a1, a2, b1, b2, _, _ = EXAMPLE_ROWS[example_id]
+    at = get_problem(f"examp{example_id}").at([point[0]], [point[1]])
+    blocks = (at.hess11, at.hess22, at.mixed12, at.mixed21)
+    assert [b.tolist() for b in blocks] == [[[a1]], [[a2]], [[b1]], [[b2]]]
+
 
 @pytest.mark.parametrize("example_id,point", sorted(KNOWN_EQUILIBRIA.items()))
 def test_examples_known_equilibria(example_id, point):
@@ -53,6 +80,8 @@ def test_examples_known_equilibria(example_id, point):
     assert res.norm <= 1e-12
     cls = classify_point(res, tol=1e-6)
     assert cls.kind is PointKind.EQUILIBRIUM_CANDIDATE
+    if example_id in EXAMPLE_ROWS:
+        assert_is_the_row(example_id, point)
 
 
 def test_example3_has_no_equilibrium():
@@ -61,6 +90,19 @@ def test_example3_has_no_equilibrium():
     assert res.norm <= 1e-12
     cls = classify_point(res, tol=1e-6)
     assert cls.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
+    assert_is_the_row(3, (3.2, -1.4))
+
+
+def test_bench_reference_points_are_the_coefficient_rows(monkeypatch):
+    # the benchmark checks outputs against its own closed-form points and
+    # Jacobians; they must stay the rows' games
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    import checks
+
+    for example_id, (a1, a2, b1, b2, _, _) in EXAMPLE_ROWS.items():
+        [(x_star, J)] = checks.EXAMPLE_POINTS[f"examp{example_id}"]
+        assert J == [[a1, b1], [b2, a2]]
+        assert np.allclose(x_star, row_stationary_point(example_id), rtol=0.0, atol=1e-12)
 
 
 def test_example4_null_own_blocks():
@@ -524,6 +566,12 @@ def test_registry_ids_resolve():
         assert get_problem(pid).name == pid
         # every call builds a new problem: runs never share an oracle or its caches
         assert get_problem(pid) is not get_problem(pid)
+    for pid in ("examp1", "examp2", "examp3", "examp4", "examp5"):
+        # nor an array: writing into one build's block leaves another's alone
+        first, second = get_problem(pid), get_problem(pid)
+        before = second.hess11([0.5], [0.5]).copy()
+        first.hess11([0.5], [0.5])[...] = 99.0
+        assert np.array_equal(second.hess11([0.5], [0.5]), before)
     for pid in ("facility1d", "facility2d"):
         assert get_problem(pid).point is not get_problem(pid).point
     problem = get_problem("quadratic:7:2x3")
