@@ -6,7 +6,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from .core import InnerSolveFailure
+from .core import InnerSolveFailure, _dot, _norm
 # nothing here calls these two names: bench/tracing.py's _LAYER_PATCHES
 # reads and replaces them in this module by name, so they stay while its
 # rows name them
@@ -36,12 +36,6 @@ def newton_kkt_step(problem, res):
     return d[: problem.n1], d[problem.n1 :]
 
 
-def _square(g):
-    # g @ g, inf without a warning where it overflows (a trial's inf square rejects it)
-    with np.errstate(over="ignore"):
-        return float(g @ g)
-
-
 def _inner_newton_root(at, grad, hess, z0, point, g):
     """Damped Newton root find for one player's stationarity equation.
 
@@ -49,20 +43,21 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
     that evaluation at z0 and g the player's gradient there, finite as the
     residual checks it. grad and hess read the player's gradient and own
     Hessian block off a point, so each iterate is evaluated once (an
-    accepted trial point, whose gradient is finite, is the next iterate).
-    Backtracks on the squared gradient norm, rejecting a trial whose
-    gradient is not finite or whose oracle raises ArithmeticError. A
-    stalled line search whose Newton step is below sqrt(eps) relative to
-    z returns z: the gradient is then at its round-off level, which at
-    large |z| exceeds INNER_TOL. Stops at gradient norm INNER_TOL, within
-    INNER_MAX_ITER Newton steps. Raises InnerSolveFailure when the
-    per-player Hessian block is singular (the iteration is undefined) or
-    progress stalls, and NonFiniteEvaluation, through lu_solve, when the
-    block is not finite.
+    accepted trial point, whose gradient is finite, is the next iterate;
+    an oracle must be a function of its input). Backtracks on the squared
+    gradient norm, rejecting a trial whose gradient is not finite or whose
+    oracle raises ArithmeticError. A stalled line search whose Newton step
+    is below sqrt(eps) relative to z returns z: the gradient is then at its
+    round-off level, which at large |z| exceeds INNER_TOL. Stops at
+    gradient norm INNER_TOL, within INNER_MAX_ITER Newton steps. Raises
+    InnerSolveFailure when the per-player Hessian block is singular (the
+    iteration is undefined) or progress stalls, and NonFiniteEvaluation,
+    through lu_solve, when the block is not finite.
     """
     z = np.asarray(z0, dtype=float).copy()
     for _ in range(INNER_MAX_ITER):
-        if np.linalg.norm(g) <= INNER_TOL:
+        gn = _norm(g)
+        if gn <= INNER_TOL:
             return z
         try:
             p = lu_solve(hess(point), -g)
@@ -70,26 +65,32 @@ def _inner_newton_root(at, grad, hess, z0, point, g):
             raise InnerSolveFailure(
                 "per-player Hessian block is singular; the step is undefined"
             ) from err
-        phi = _square(g)
+        phi = _dot(g, g)
         s = 1.0
-        while s >= 1e-12:
-            z_trial = z + s * p
+        # once z + s p rounds to z bitwise, it does at every smaller s: the
+        # trial is z, whose gradient is no strict decrease
+        while s >= 1e-12 and (z_trial := z + s * p).tobytes() != z.tobytes():
             try:
                 trial = at(z_trial)
                 g_trial = grad(trial)
             except ArithmeticError:
                 pass
             else:
-                if np.isfinite(g_trial).all() and _square(g_trial) <= phi * (1.0 - 1e-4 * s):
+                if phi < np.inf:
+                    decrease = _dot(g_trial, g_trial) <= phi * (1.0 - 1e-4 * s)
+                else:  # g.g overflows: compare the norms scaled by ||g|| instead
+                    r = _norm(g_trial) / gn
+                    decrease = r * r <= 1.0 - 1e-4 * s
+                if decrease:
                     break
             s *= 0.5
         else:
-            if np.linalg.norm(p) <= np.sqrt(np.finfo(float).eps) * max(1.0, np.linalg.norm(z)):
+            if _norm(p) <= np.sqrt(np.finfo(float).eps) * max(1.0, _norm(z)):
                 # the Newton step no longer moves z at float precision
                 return z
             raise InnerSolveFailure("inner line search stalled")
         z, point, g = z_trial, trial, g_trial
-    if np.linalg.norm(g) <= INNER_TOL:
+    if _norm(g) <= INNER_TOL:
         return z
     raise InnerSolveFailure("inner Newton did not converge")
 

@@ -22,8 +22,9 @@ from dataclasses import replace
 import numpy as np
 
 from .baselines import solve_exact_jacobi, solve_newton_kkt
-from .core import NonFiniteEvaluation, PointKind, _Uniform
+from .core import NonFiniteEvaluation, PointKind, _norm, _Uniform
 from .diagnostics import (
+    _box_bounds,
     estimate_assumptions,
     monitor_stepsizes,
     partial_direction_sums,
@@ -153,8 +154,8 @@ def trajectory_csv_rows(problem, report):
             + [_fmt(v) for v in rec.x1]
             + [_fmt(v) for v in rec.x2]
             + [
-                _fmt(np.linalg.norm(rec.g1)),
-                _fmt(np.linalg.norm(rec.g2)),
+                _fmt(_norm(rec.g1)),
+                _fmt(_norm(rec.g2)),
                 _fmt(rec.t),
                 str(backtracks),
                 _fmt(point.value1),
@@ -287,8 +288,12 @@ def cmd_diagnose(args):
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.samples < 2:
         raise UsageError(f"--samples must be >= 2, got {args.samples}")
-    problem, report = _run(args)
     box = (args.box_low, args.box_high)
+    try:
+        _box_bounds(box, 1)
+    except ValueError as err:
+        raise UsageError(str(err)) from None
+    problem, report = _run(args)
     try:
         estimates = estimate_assumptions(problem, box, args.samples, args.seed)
     except (ValueError, NonFiniteEvaluation) as err:

@@ -322,9 +322,20 @@ class Residual:
     point: object = field(repr=False, compare=False)
 
 
+#: numpy's C vdot without its dispatch: v.dot(v)'s bits, silent on overflow
+_dot = np.vdot._implementation
+
+
 def _norm(v):
-    """np.linalg.norm of a float vector, bit for bit, without its dispatch."""
-    return math.sqrt(v.dot(v))
+    """Euclidean norm of a float vector, without a floating-point warning:
+    np.linalg.norm's bits for a contiguous v whose sum of squares is finite
+    (a strided v is summed in its own order). Where the sum overflows, a
+    finite v is scaled by max|v| first (the safe norm of LAPACK's dnrm2),
+    so the norm is inf only past the float range."""
+    sq = _dot(v, v)
+    if sq == math.inf and (scale := float(np.max(np.abs(v)))) < math.inf:
+        return scale * _norm(v / scale)
+    return math.sqrt(sq)
 
 
 def evaluate_residual(problem, point):

@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import _require_finite, _Uniform
+from .core import _norm, _require_finite, _Uniform
 from .solver import build_surrogates, safeguard_mixed_blocks
 from .linalg import assemble_block_system, spectral_bounds_sym
 
@@ -62,18 +62,6 @@ def _box_bounds(box, n):
     return lo, hi
 
 
-def _finite_norm(v):
-    """np.linalg.norm(v), bit for bit, unless its squares overflow: then a
-    finite v is scaled by its largest magnitude first, so its norm is inf
-    only when the norm itself passes the float range."""
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(v)
-        if np.isinf(norm) and np.all(np.isfinite(v)):
-            scale = np.max(np.abs(v))
-            norm = scale * np.linalg.norm(v / scale)
-    return norm
-
-
 def estimate_assumptions(problem, box, samples, seed):
     """Max-sampled estimates of the assumption constants over a box.
 
@@ -108,14 +96,14 @@ def estimate_assumptions(problem, box, samples, seed):
         )
         c_h = max(c_h, np.linalg.norm(m1, 2), np.linalg.norm(m2, 2))
 
-        dist1 = _finite_norm(a1 - x1)
+        dist1 = _norm(a1 - x1)
         if dist1 > 1e-12:
             probe = _require_finite(problem.at(a1, x2).grad1, _IN_BOX)
-            lipschitz = max(lipschitz, _finite_norm(probe - g1) / dist1)
-        dist2 = _finite_norm(a2 - x2)
+            lipschitz = max(lipschitz, _norm(probe - g1) / dist1)
+        dist2 = _norm(a2 - x2)
         if dist2 > 1e-12:
             probe = _require_finite(problem.at(x1, a2).grad2, _IN_BOX)
-            lipschitz = max(lipschitz, _finite_norm(probe - g2) / dist2)
+            lipschitz = max(lipschitz, _norm(probe - g2) / dist2)
 
         p1 = _require_finite(problem.at(x1, x2 + t * d2).grad1, _IN_BOX)
         p2 = _require_finite(problem.at(x1 + t * d1, x2).grad2, _IN_BOX)
@@ -124,9 +112,9 @@ def estimate_assumptions(problem, box, samples, seed):
         sq1 = t * t * float(d2 @ d2)
         sq2 = t * t * float(d1 @ d1)
         if sq1 > 0:
-            c_r = max(c_r, _finite_norm(r1) / sq1)
+            c_r = max(c_r, _norm(r1) / sq1)
         if sq2 > 0:
-            c_r = max(c_r, _finite_norm(r2) / sq2)
+            c_r = max(c_r, _norm(r2) / sq2)
 
     return AssumptionEstimates(c_h=float(c_h), grad_lipschitz=float(lipschitz), c_r=float(c_r))
 
@@ -277,7 +265,7 @@ def verify_lemma_bounds(run, est):
         c_h_point = max(np.linalg.norm(mixed1, 2), np.linalg.norm(mixed2, 2))
         c_h_run = max(c_h_run, c_h_point)
 
-        g_norms = (float(np.linalg.norm(rec.g1)), float(np.linalg.norm(rec.g2)))
+        g_norms = (_norm(rec.g1), _norm(rec.g2))
         mu_min, mu_max = _mu_bounds(lam_lo, lam_hi, c_h_point)
         c_k = mu_min * (g_norms[0] + g_norms[1])
         c_k_values.append(c_k)
@@ -294,7 +282,7 @@ def verify_lemma_bounds(run, est):
             floor = lam_lo / np.sqrt(2.0)
             tally.bound(k, "block-norms", "smallest singular value", sigma[-1], lo=floor)
         if tally.count("direction-bound", t <= t_small):
-            dnorm = np.linalg.norm(np.concatenate([rec.d1, rec.d2]))
+            dnorm = _norm(np.concatenate([rec.d1, rec.d2]))
             tally.bound(k, "direction-bound", "||d|| =", dnorm, hi=c_k)
 
         # comparability of g_i with H_i d_i, per player
@@ -302,7 +290,7 @@ def verify_lemma_bounds(run, est):
         tally.count("gradient-comparability", any(hyps))
         for label, gn, H_i, d_i, hyp in zip(_PLAYERS, g_norms, (H1, H2), (rec.d1, rec.d2), hyps):
             if hyp:
-                hd = float(np.linalg.norm(H_i.matrix @ d_i))
+                hd = _norm(H_i.matrix @ d_i)
                 what = f"{label}: ||H d|| ="
                 tally.bound(k, "gradient-comparability", what, hd, 0.5 * gn, 1.5 * gn)
 
@@ -318,8 +306,7 @@ def verify_lemma_bounds(run, est):
         preds = (pred1.grad1, pred2.grad2)
         for label, p_i, d_i, hyp in zip(_PLAYERS, preds, (rec.d1, rec.d2), hyps):
             if hyp:
-                pn = float(np.linalg.norm(p_i))
-                dn = float(np.linalg.norm(d_i))
+                pn, dn = _norm(p_i), _norm(d_i)
                 what = f"{label}: ||d|| ="
                 tally.bound(k, "ratio-bounds", what, dn, lo=2.0 / (3.0 * lam_hi) * pn)
                 tally.bound(k, "ratio-bounds", what, dn, hi=2.0 / lam_lo * pn)
@@ -371,8 +358,8 @@ def monitor_stepsizes(run):
 
 def partial_direction_sums(run):
     """Partial sums of per-player direction norms over the trajectory."""
-    s1 = float(sum(np.linalg.norm(rec.d1) for rec in run.trajectory))
-    s2 = float(sum(np.linalg.norm(rec.d2) for rec in run.trajectory))
+    s1 = float(sum(_norm(rec.d1) for rec in run.trajectory))
+    s2 = float(sum(_norm(rec.d2) for rec in run.trajectory))
     return s1, s2
 
 
@@ -436,8 +423,9 @@ def validate_derivatives(problem, box, samples, seed, exclude=None):
         for key, oracle in _DERIVATIVES.items():
             analytic = values[key] = getattr(point, key)
             fd = problem.finite_difference(oracle, x1, x2)
-            err = np.linalg.norm(analytic - fd) / max(1.0, np.linalg.norm(analytic))
-            errs[key] = max(errs[key], float(err))
+            # a block's Frobenius norm is the norm of its entries, in memory order
+            err = _norm(np.ravel(analytic - fd, "K")) / max(1.0, _norm(np.ravel(analytic, "K")))
+            errs[key] = max(errs[key], err)
         for h in (values["hess11"], values["hess22"]):
             scale = max(1.0, float(np.max(np.abs(h))))
             asym = max(asym, float(np.max(np.abs(h - h.T))) / scale)

@@ -246,21 +246,11 @@ def check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config):
     trial = problem._at(y1, y2)
     pred2 = problem._at(y1, x2)
 
-    p1 = pred1.grad1
-    p2 = pred2.grad2
-    f1_trial = trial.value1
-    f1_pred = pred1.value1
-    f2_trial = trial.value2
-    f2_pred = pred2.value2
-    if not (
-        np.isfinite(p1).all()
-        and np.isfinite(p2).all()
-        and math.isfinite(f1_trial)
-        and math.isfinite(f1_pred)
-        and math.isfinite(f2_trial)
-        and math.isfinite(f2_pred)
-    ):
+    p1, p2 = pred1.grad1, pred2.grad2
+    values = (trial.value1, pred1.value1, trial.value2, pred2.value2)
+    if not (np.isfinite(p1).all() and np.isfinite(p2).all() and all(map(math.isfinite, values))):
         raise NonFiniteEvaluation("non-finite evaluation at a trial point")
+    f1_trial, f1_pred, f2_trial, f2_pred = values
 
     d1n = _norm(d1)
     d2n = _norm(d2)
@@ -273,10 +263,10 @@ def check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config):
     return (
         f1_trial <= f1_pred + config.alpha * t * slope1,
         slope1 <= -config.theta * p1n * d1n,
-        config.gamma * p1n * g1n <= d1n * g1n,
+        g1n == 0.0 or config.gamma * p1n <= d1n,
         f2_trial <= f2_pred + config.alpha * t * slope2,
         slope2 <= -config.theta * p2n * d2n,
-        config.gamma * p2n * g2n <= d2n * g2n,
+        g2n == 0.0 or config.gamma * p2n <= d2n,
     )
 
 

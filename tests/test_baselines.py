@@ -17,7 +17,7 @@ from nepsolve import (
     solve_exact_jacobi,
     solve_newton_kkt,
 )
-from nepsolve.baselines import INNER_MAX_ITER, INNER_TOL
+from nepsolve.baselines import INNER_MAX_ITER, INNER_TOL, _inner_newton_root
 
 
 def residual_at(problem, x1, x2):
@@ -170,6 +170,41 @@ def test_jacobi_inner_line_search_stalls_on_a_wrong_sign_hessian():
     report = solve_exact_jacobi(problem, [-5.0], [1.0])
     assert report.status is SolveStatus.UNDEFINED_STEP
     assert report.iterations == 0
+
+
+def _inner_root(grad, hess, z0):
+    """The inner root find with the player's decision as its point, and the
+    trial decisions it evaluates, in order."""
+    seen = []
+
+    def at(z):
+        seen.append(z[0])
+        return z
+
+    z0 = np.array(z0)
+    try:
+        return _inner_newton_root(at, grad, hess, z0, z0, grad(z0)), seen
+    except InnerSolveFailure as err:
+        return err, seen
+
+
+def test_jacobi_inner_trial_whose_square_overflows_is_judged_by_its_norm():
+    # g = 1e200 at 0, so g.g overflows, and the Newton step is +1 (the
+    # block's sign is wrong): every trial's gradient is larger, and its
+    # square overflows too. Each is rejected, where inf <= inf would pass
+    # the first, until the line search stalls
+    err, seen = _inner_root(lambda z: 1e200 * (1.0 + z), lambda z: np.array([[-1e200]]), [0.0])
+    assert "stalled" in str(err) and seen == [0.5**k for k in range(40)]
+
+
+def test_jacobi_inner_line_search_ends_once_the_trial_is_the_iterate():
+    # a constant gradient and a step of +1 from 2^40, whose ulp is 2^-12:
+    # 2^40 + s rounds to 2^40 from s = 2^-13 on, so the search tries
+    # s = 1, ..., 2^-12 and stops, where it used to halve s down to 1e-12
+    # (40 trials) against the same gradient. The step is below sqrt(eps)
+    # relative to 2^40, so the root find returns the iterate
+    z, seen = _inner_root(lambda z: np.ones(1), lambda z: np.array([[-1.0]]), [2.0**40])
+    assert z == [2.0**40] and seen == [2.0**40 + 0.5**k for k in range(13)]
 
 
 def test_jacobi_inner_newton_runs_out_of_steps_on_a_flat_root():

@@ -112,6 +112,25 @@ def test_diagnose_one_sample_fails_before_the_solve(tmp_path, capsys, monkeypatc
     assert "--samples must be >= 2, got 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        (["--box-low", "5", "--box-high", "5"], "box upper bounds must exceed lower bounds"),
+        (["--box-low", "nan"], "box bounds must be finite"),
+        (["--box-high", "inf"], "box bounds must be finite"),
+    ],
+)
+def test_diagnose_bad_box_fails_before_the_solve(tmp_path, capsys, monkeypatch, box, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the solve ran")
+
+    monkeypatch.setattr(cli, "solve", no_solve)
+    code, out = run_cli(["diagnose", "--problem", "examp1"] + box, tmp_path)
+    assert code == 64
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_cli_commands_leave_numpy_random_unimported(tmp_path):
     # in a fresh interpreter: pytest's own process has loaded numpy.random
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])

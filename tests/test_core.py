@@ -1,9 +1,12 @@
+import ast
+import pathlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import nepsolve.baselines as baselines_mod
+import nepsolve.core as core_mod
 import nepsolve.solver as solver_mod
 from nepsolve import (
     NepProblem,
@@ -52,6 +55,45 @@ def test_residual_norm_matches_stacked_vector():
         x1, x2 = rng.uniform(-5, 5, size=(2, 1))
         res = residual_at(problem, x1, x2)
         assert res.norm == np.linalg.norm(np.concatenate([res.g1, res.g2]))
+
+
+def _linalg_norm_calls_without_ord_2(source):
+    """Lines of np.linalg.norm calls (any name ending in linalg.norm) whose
+    ord, second argument or keyword, is not the literal 2, and of imports
+    of norm from numpy.linalg."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            lines += [node.lineno for alias in node.names if alias.name == "norm"]
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "norm"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "linalg"
+        ):
+            continue
+        ords = node.args[1:2] + [k.value for k in node.keywords if k.arg == "ord"]
+        if not (len(ords) == 1 and isinstance(ords[0], ast.Constant) and ords[0].value == 2):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_vector_norm_in_the_library_is_core_norm():
+    # np.linalg.norm stays only as the matrix 2-norm norm(M, 2): a vector
+    # norm spelled any other way would warn, or read inf, where core._norm
+    # gives the finite norm of a vector whose squares overflow
+    assert _linalg_norm_calls_without_ord_2("np.linalg.norm(M, 2)\nnumpy.linalg.norm(M, ord=2)") == []
+    assert _linalg_norm_calls_without_ord_2(
+        "np.linalg.norm(v)\nnp.linalg.norm(M, 'fro')\nnp.linalg.norm(v, ord=None)\n"
+        "from numpy.linalg import norm"
+    ) == [1, 2, 3, 4]
+    found = {
+        path.name: lines
+        for path in sorted(pathlib.Path(core_mod.__file__).parent.glob("*.py"))
+        if (lines := _linalg_norm_calls_without_ord_2(path.read_text()))
+    }
+    assert found == {}
 
 
 def test_residual_is_pure():

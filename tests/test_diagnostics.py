@@ -22,6 +22,7 @@ from nepsolve import (
     verify_lemma_bounds,
 )
 from nepsolve.cli import PAPER_STARTS
+from nepsolve.core import _norm
 from nepsolve.solver import IterateRecord, LineSearchCertificate, SolveReport
 
 
@@ -146,12 +147,19 @@ def test_estimates_finite_on_a_box_whose_squares_overflow():
 
 
 def test_finite_norm_keeps_bits_until_the_squares_overflow():
+    # core._norm, the one vector norm the estimates and every solver use
     rng = np.random.default_rng(0)
-    for v in (rng.normal(size=7), 1e150 * rng.normal(size=3), np.zeros(2)):
-        assert diagnostics._finite_norm(v) == np.linalg.norm(v)
-    assert diagnostics._finite_norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
-    assert diagnostics._finite_norm(np.array([1.5e308, 1.5e308])) == np.inf
-    assert np.isnan(diagnostics._finite_norm(np.array([np.nan, 1e200])))
+    for n in (1, 2, 3, 7, 40, 257, 1000):
+        for scale in (1e-150, 1.0, 1e150):
+            v = scale * rng.normal(size=n)
+            assert _norm(v) == np.linalg.norm(v)
+            # a strided vector is summed in its own order, not copied first
+            assert _norm(v[::2]) == pytest.approx(np.linalg.norm(v[::2]), rel=1e-15, abs=0)
+    assert _norm(np.zeros(2)) == 0.0
+    assert _norm(np.array([3e200, 4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert _norm(np.array([1.5e308, 1.5e308])) == np.inf
+    assert _norm(np.array([np.inf, 1.0])) == np.inf
+    assert np.isnan(_norm(np.array([np.nan, 1e200])))
 
 
 def test_lemma_report_serializes():

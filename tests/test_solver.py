@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,6 +207,18 @@ def test_inequalities_zero_direction_at_stationary_point():
         assert all(checks)
 
 
+def test_inequality_ratio_is_decided_without_the_gradient_norm():
+    # gamma ||p1|| = 12.6 exceeds ||d1|| = 7, so player 1's ratio fails. The
+    # test is vacuous only at ||g1|| = 0: scaling both sides by ||g1|| = 1e308
+    # overflowed them to inf <= inf, which passed it
+    problem = get_problem("examp1")
+    x1, x2, d1, d2 = np.array([-5.0]), np.array([1.0]), np.array([7.0]), np.array([-2.0])
+    config = SolverConfig(gamma=0.9)
+    for g_norms in ((14.0, 7.0), (1e308, 1e308)):
+        checks = check_inequalities(problem, x1, x2, g_norms, d1, d2, 1.0, config)
+        assert checks == (True, True, False, False, True, True)
+
+
 # ---------------------------------------------------------------------------
 # full solves
 # ---------------------------------------------------------------------------
@@ -302,13 +315,33 @@ def test_an_oracle_arithmetic_error_is_a_non_finite_evaluation(run, x0, status, 
     # where np.exp overflows to inf, math.exp raises OverflowError: from
     # (-30, 1) at line-search trials near x1 = e^30, from (800, 0) at the
     # start. np.exp's own overflow warnings are ignored; the math.exp runs
-    # warn nowhere, though exact-jacobi squares a finite trial gradient of
-    # order e^700 before it rejects the trial
+    # warn nowhere, though exact-jacobi meets a finite trial gradient of
+    # order e^700, whose square overflows, before it rejects the trial
     with np.errstate(over="ignore"):
         expected = run(_exp_game(np.exp), [x0[0]], [x0[1]])
     report = run(_exp_game(math.exp), [x0[0]], [x0[1]])
     assert (expected.status, expected.iterations) == (status, iterations)
     assert (report.status, report.iterations) == (status, iterations)
+
+
+@pytest.mark.parametrize(
+    "run, status",
+    [
+        (solve, SolveStatus.LINE_SEARCH_FAILURE),
+        (solve_newton_kkt, SolveStatus.UNDEFINED_STEP),
+        (solve_exact_jacobi, SolveStatus.UNDEFINED_STEP),
+    ],
+)
+def test_a_finite_gradient_whose_square_overflows_is_judged_finite(run, status):
+    # at (400, 1) g1 = e^400 - 1, about 5.2e173, so g.g overflows. The
+    # residual reads the finite norm, and no warning escapes: the status is
+    # the method's own verdict. [[e^400, -t], [0, 1]] fails the pivot test
+    # at every t, and exact-jacobi's inner Newton moves x1 by about 1 a step
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(_exp_game(math.exp), [400.0], [1.0])
+    assert (report.status, report.iterations) == (status, 0)
+    assert report.final_residual == 5.221469689764144e173
 
 
 def test_solve_is_deterministic():

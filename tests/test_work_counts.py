@@ -14,7 +14,7 @@ import pytest
 
 import nepsolve.linalg as linalg_mod
 import nepsolve.suite as suite_mod
-from nepsolve import SolveStatus, SolverConfig, get_problem, solve, solve_newton_kkt
+from nepsolve import SolveStatus, SolverConfig, get_problem, solve, solve_exact_jacobi, solve_newton_kkt
 
 SOLVERS = {"descent-newton": solve, "newton-kkt": solve_newton_kkt}
 
@@ -39,6 +39,13 @@ DENSE_COUNTS = {
     "descent-newton": {"potrf": 4, "getrf": 1},
     "newton-kkt": {"potrf": 2, "getrf": 1},
 }
+
+#: counts of one exact-jacobi solve of quadratic:1:40x40 from the origin,
+#: 52 iterations to `diverged`: gradient-oracle calls and getrf. Once the
+#: inner gradient is at its round-off level, each root find's line search
+#: ends where a trial rounds to the iterate: it used to halve s down to
+#: 1e-12 against the same gradient, 2,274 gradient calls in all
+JACOBI_COUNTS = {"grads": 852, "getrf": 353}
 
 
 @pytest.fixture
@@ -86,3 +93,22 @@ def test_dense_quadratic_counts(counts, solver):
     report = SOLVERS[solver](problem, np.zeros(150), np.zeros(150))
     assert report.status is SolveStatus.CONVERGED and report.iterations == 1
     assert dict(counts) == DENSE_COUNTS[solver]
+
+
+def test_exact_jacobi_diverging_counts(counts):
+    problem = get_problem("quadratic:1:40x40")
+
+    def counted(grad):
+        def read(x1, x2):
+            counts["grads"] += 1
+            return grad(x1, x2)
+
+        return read
+
+    problem = dataclasses.replace(
+        problem, grad1=counted(problem.grad1), grad2=counted(problem.grad2)
+    )
+    counts.clear()
+    report = solve_exact_jacobi(problem, np.zeros(40), np.zeros(40))
+    assert report.status is SolveStatus.DIVERGED and report.iterations == 52
+    assert dict(counts) == JACOBI_COUNTS
