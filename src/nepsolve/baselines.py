@@ -113,8 +113,9 @@ def exact_jacobi_step(problem, x1, x2, res):
 
 
 def _unit_step(x1, x2, x1_next, x2_next):
-    """A unit step to (x1_next, x2_next), in the form `_drive` takes."""
-    return x1_next, x2_next, 1.0, x1_next - x1, x2_next - x2, None
+    """A unit step to (x1_next, x2_next), in the form `_drive` takes: no
+    certificate and no verdicts for the classification."""
+    return x1_next, x2_next, 1.0, x1_next - x1, x2_next - x2, None, None
 
 
 def _kkt_run_step(problem, config, x1, x2, res):

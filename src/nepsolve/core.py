@@ -20,7 +20,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .linalg import NonFiniteEvaluation, _as_matrix, _symmetric_part, psd_test, spectral_bounds_sym
+from .linalg import (
+    NonFiniteEvaluation,
+    _as_matrix,
+    _same_bits,
+    _symmetric_part,
+    psd_test,
+    spectral_bounds_sym,
+)
 
 
 class InnerSolveFailure(RuntimeError):
@@ -400,7 +407,7 @@ class PointClass:
         )
 
 
-def classify_point(res, tol):
+def classify_point(res, tol, known=None):
     """Classify the point of residual res as equilibrium candidate /
     stationary / neither.
 
@@ -411,17 +418,28 @@ def classify_point(res, tol):
     asks at every iterate, so at an equilibrium candidate neither surrogate
     would fall back to the identity. The Hessian blocks are read from the
     residual's point.
+
+    known, when given, holds verdicts that test has already given, one
+    (block, (psd, min_eig)) per player: the psd_test verdict on the
+    symmetric part of a finite block, as the last descent step's surrogate
+    build has them. A verdict is reused only for a block with block's bits
+    (`_same_bits`), which is finite too; any other block is checked and
+    tested here. The classification is the same either way, bit for bit.
     """
     # negated so that NaN fails it too
     if not tol > 0:
         raise ValueError("tolerance must be positive")
     blocks = (_as_matrix(res.point.hess11), _as_matrix(res.point.hess22))
-    if not (np.isfinite(blocks[0]).all() and np.isfinite(blocks[1]).all()):
-        raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
+    verdicts = [None, None]
+    for i, block in enumerate(blocks):
+        if known is not None and _same_bits(block, known[i][0]):
+            verdicts[i] = known[i][1]
+        elif not np.isfinite(block).all():
+            raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
     min_eigs = [None, None]
 
     def psd(i):
-        passed, min_eigs[i] = psd_test(_symmetric_part(blocks[i]))
+        passed, min_eigs[i] = verdicts[i] or psd_test(_symmetric_part(blocks[i]))
         return passed
 
     if res.norm > tol:

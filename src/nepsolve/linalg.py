@@ -18,12 +18,13 @@ surrogate. The surrogate build factors each block once: the potrf of the
 PSD test both decides the surrogate and, when it succeeds, builds it with
 shift 0, so `modified_cholesky` neither checks nor factors the block again.
 A non-finite matrix is rejected with NonFiniteEvaluation, the one verdict
-that every solver reports as divergence. The block system is assembled in
-Fortran order, the layout LAPACK factors, so getrf can factor it where it
-lies: `lu_solve` with `overwrite_a=True` is the one routine here that may
-write to an argument, and only to a matrix its caller owns. No other
-routine writes to its arguments, and none copies an n x n matrix that it
-does not need.
+that every solver reports as divergence; `lu_solve` reads it off the
+norm its pivot test needs. The block system is assembled by copying the
+blocks into Fortran order, the layout LAPACK factors, so getrf can factor
+it where it lies: `lu_solve` with `overwrite_a=True` is the one routine
+here that may write to an argument, and only to a matrix its caller owns.
+No other routine writes to its arguments, and none copies an n x n matrix
+that it does not need.
 
 The public kernels validate their arguments at the boundary, and each check
 is cheap on what the solvers pass, 2-D float64 arrays: such an array is
@@ -34,6 +35,7 @@ blocks numpy's per-call overhead, not the arithmetic, is what a check costs.
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -115,6 +117,22 @@ def _as_matrix(A):
     return np.atleast_2d(np.asarray(A, dtype=float))
 
 
+def _same_bits(A, B):
+    """Whether the float64 arrays A and B have one shape and the same bits.
+
+    -0.0 differs from 0.0, and a NaN matches only a NaN with the same
+    payload, so a matrix with the bits of a finite one is finite. Arrays of
+    up to 16 entries compare their bytes, which on a 2 x 2 block is ten
+    times quicker than the views; larger ones compare uint64 views, which
+    copy nothing.
+    """
+    if A.shape != B.shape:
+        return False
+    if A.size <= 16:
+        return A.tobytes() == B.tobytes()
+    return bool((A.view(np.uint64) == B.view(np.uint64)).all())
+
+
 def lu_solve(A, b, overwrite_a=False):
     """Solve A x = b by LU with partial pivoting.
 
@@ -137,6 +155,11 @@ def lu_solve(A, b, overwrite_a=False):
     twelve orders of magnitude below the n eps ||A||_inf to which getrf
     computes a pivot: only a pivot within that distance of the threshold
     can be decided differently.
+
+    The same norm is the finiteness check: dlange reads every entry and
+    returns NaN or inf for a non-finite A, so only a norm that is not
+    finite costs the explicit isfinite pass. A finite A whose row sums
+    overflow passes it and fails the pivot test against an infinite norm.
     """
     A = _as_matrix(A)
     if not (type(b) is np.ndarray and b.ndim == 1 and b.dtype == _FLOAT):
@@ -145,8 +168,6 @@ def lu_solve(A, b, overwrite_a=False):
         raise DimensionMismatch(f"matrix must be square, got {A.shape}")
     if b.shape != (A.shape[0],):
         raise DimensionMismatch(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    if not np.isfinite(A).all():
-        raise NonFiniteEvaluation("matrix contains non-finite entries")
     if A.size == 0:
         return np.empty(0)  # LAPACK rejects the empty system
     # taken before getrf, which may overwrite A
@@ -154,6 +175,8 @@ def lu_solve(A, b, overwrite_a=False):
         norm_inf = lapack.dlange("I", A)
     else:
         norm_inf = lapack.dlange("1", A.T)
+    if not math.isfinite(norm_inf) and not np.isfinite(A).all():
+        raise NonFiniteEvaluation("matrix contains non-finite entries")
     # getrs works on a copy of b; an exactly zero pivot comes back through
     # info and fails the pivot test below
     lu, piv, _ = lapack.dgetrf(A, overwrite_a=overwrite_a)
@@ -315,7 +338,10 @@ def assemble_block_system(H1, H2, M1, M2, t):
     H1, H2 may be SpdSurrogate instances or plain arrays; the off-diagonal
     blocks are scaled by the tentative step length t. The result is a new
     Fortran-ordered array, which the caller owns: `lu_solve(...,
-    overwrite_a=True)` factors it without a copy.
+    overwrite_a=True)` factors it without a copy. Each block is copied into
+    it, and the mixed blocks are then scaled where they lie, only when
+    t != 1: a multiply that writes into the strided Fortran-ordered blocks
+    costs about twice the copy.
     """
     H1 = _block(H1)
     H2 = _block(H2)
@@ -331,9 +357,13 @@ def assemble_block_system(H1, H2, M1, M2, t):
         )
     out = np.empty((n1 + n2, n1 + n2), order="F")
     out[:n1, :n1] = H1
-    np.multiply(t, M1, out=out[:n1, n1:])
-    np.multiply(t, M2, out=out[n1:, :n1])
+    out[:n1, n1:] = M1
+    out[n1:, :n1] = M2
     out[n1:, n1:] = H2
+    if t != 1:
+        # M*t in place, which has the bits of t*M
+        out[:n1, n1:] *= t
+        out[n1:, :n1] *= t
     return out
 
 

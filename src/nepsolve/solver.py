@@ -31,6 +31,7 @@ from .core import (
     InnerSolveFailure,
     NonFiniteEvaluation,
     _as_int,
+    _dot,
     _norm,
     classify_point,
     evaluate_residual,
@@ -41,6 +42,7 @@ from .linalg import (
     SpdSurrogate,
     _is_symmetric,
     _psd_verdict,
+    _same_bits,
     _symmetric_part,
     assemble_block_system,
     lu_solve,
@@ -174,7 +176,7 @@ def safeguard_mixed_blocks(g1_norm, g2_norm, t, config, mixed1, mixed2):
     return M1, M2
 
 
-def _exact_surrogate(block):
+def _exact_surrogate(block, verdicts=None):
     # Blocks that pass psd_test get the minimal diagonal shift, so Newton
     # curvature survives untouched (a null Hessian becomes PSD_FLOOR*I).
     # Blocks with genuine negative curvature fall back to the identity: a
@@ -182,24 +184,41 @@ def _exact_surrogate(block):
     # directions that the line search then has to shrink away.
     # The PSD test's potrf is the shift search's first attempt, so the block
     # is symmetrized, checked and factored once.
-    block = _symmetric_part(block)
-    psd, _, factored = _psd_verdict(block)
-    if not psd:
-        return SpdSurrogate(np.eye(block.shape[0]), 0.0)
-    return modified_cholesky(block, factored=factored)
+    S = _symmetric_part(block)
+    psd, min_eig, factored = _psd_verdict(S)
+    if psd:
+        surrogate = modified_cholesky(S, factored=factored)
+    else:
+        surrogate = SpdSurrogate(np.eye(S.shape[0]), 0.0)
+    if verdicts is not None:
+        # the verdict keeps the block's bits apart from the oracle's buffer,
+        # into which an oracle may write its next point's block: in the
+        # surrogate's own matrix when that has them (an unshifted surrogate
+        # of a bitwise symmetric block without -0.0 entries), else in a copy
+        held = surrogate.matrix
+        if not _same_bits(held, block):
+            held = block.copy()
+        verdicts.append((held, (psd, min_eig)))
+    return surrogate
 
 
-def build_surrogates(point, config):
+def build_surrogates(point, config, verdicts=None):
     """Positive definite per-player Hessian surrogates for one iteration,
     from the config's user_h1/user_h2 when given and otherwise from the
-    Hessian blocks of point, the problem's evaluation at the iterate."""
+    Hessian blocks of point, the problem's evaluation at the iterate.
+
+    When verdicts is a list, each surrogate built from a Hessian block
+    appends (the block's bits, in memory no oracle holds, and its psd_test
+    verdict (psd, min_eig)) to it, player 1 first: the form
+    `classify_point` reuses as known.
+    """
     if config.user_h1 is not None:
         return modified_cholesky(config.user_h1), modified_cholesky(config.user_h2)
     h11 = point.hess11
     h22 = point.hess22
     if not (np.isfinite(h11).all() and np.isfinite(h22).all()):
         raise NonFiniteEvaluation("Hessian oracle returned a non-finite value")
-    return _exact_surrogate(h11), _exact_surrogate(h22)
+    return _exact_surrogate(h11, verdicts), _exact_surrogate(h22, verdicts)
 
 
 def compute_direction(H1, H2, mixed1, mixed2, g_norms, rhs, t, config):
@@ -257,8 +276,9 @@ def check_inequalities(problem, x1, x2, g_norms, d1, d2, t, config):
     p1n = _norm(p1)
     p2n = _norm(p2)
     g1n, g2n = g_norms
-    slope1 = float(p1 @ d1)
-    slope2 = float(p2 @ d2)
+    # _dot has the bits of @ and is silent where the product overflows
+    slope1 = float(_dot(p1, d1))
+    slope2 = float(_dot(p2, d2))
 
     return (
         f1_trial <= f1_pred + config.alpha * t * slope1,
@@ -279,11 +299,14 @@ def _descent_step(problem, config, x1, x2, res):
     the block system (halving t when it is singular) and tests the six
     inequalities, halving t on rejection, until a step is accepted or t
     falls below T_MIN or an accepted trial leaves x + t*d == x (every
-    smaller t rounds to the same point). Returns the step `_drive` takes;
-    otherwise raises the last non-finite trial's NonFiniteEvaluation or
-    ArithmeticError, if any, or _LineSearchExhausted.
+    smaller t rounds to the same point). Returns the step `_drive` takes,
+    with the surrogate build's psd_test verdicts for the final
+    classification; otherwise raises the last non-finite trial's
+    NonFiniteEvaluation or ArithmeticError, if any, or
+    _LineSearchExhausted.
     """
-    H1, H2 = build_surrogates(res.point, config)
+    verdicts = []
+    H1, H2 = build_surrogates(res.point, config, verdicts)
     mixed1 = res.point.mixed12
     mixed2 = res.point.mixed21
     if not (np.isfinite(mixed1).all() and np.isfinite(mixed2).all()):
@@ -311,7 +334,7 @@ def _descent_step(problem, config, x1, x2, res):
                     if np.array_equal(y1, x1) and np.array_equal(y2, x2):
                         break
                     cert = LineSearchCertificate(t, checks, backtracks, singular_halvings)
-                    return y1, y2, t, d1, d2, cert
+                    return y1, y2, t, d1, d2, cert, tuple(verdicts) or None
             backtracks += 1
         t *= 0.5
     raise nonfinite or _LineSearchExhausted()
@@ -326,8 +349,12 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
     convergence (classifying the point from the same evaluation) or the
     iteration cap, then call step(problem, config, x1, x2, res) with the
     config in force; res.point serves the step too. A step returns
-    (x1_next, x2_next, t, d1, d2, certificate), which the loop records, or
-    raises, and only this loop turns a failure into a status: a non-finite
+    (x1_next, x2_next, t, d1, d2, certificate, known), which the loop
+    records, or raises. known is None or the psd_test verdicts the step has
+    for its iterate's Hessian blocks, in the form `classify_point` takes:
+    when the run converges at the next point, its classification reuses
+    them for any block that has not changed. Only this loop turns a
+    failure into a status: a non-finite
     evaluation, or an oracle's ArithmeticError, is DIVERGED, an exhausted
     line search LINE_SEARCH_FAILURE, a singular system, failed inner solve
     or overflowing Hessian shift UNDEFINED_STEP. Malformed inputs (a start
@@ -351,6 +378,7 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
 
     trajectory = []
     classification = None
+    known = None
     try:
         while True:
             if max(np.abs(x1).max(), np.abs(x2).max()) > config.divergence_radius:
@@ -359,12 +387,12 @@ def _drive(problem, x0_1, x0_2, config, step, solver):
             res = evaluate_residual(problem, problem._at(x1, x2))
             if res.norm <= config.grad_tol:
                 status = SolveStatus.CONVERGED
-                classification = classify_point(res, config.grad_tol)
+                classification = classify_point(res, config.grad_tol, known=known)
                 break
             if len(trajectory) >= config.max_iter:
                 status = SolveStatus.MAX_ITERATIONS
                 break
-            x1_next, x2_next, t, d1, d2, certificate = step(problem, config, x1, x2, res)
+            x1_next, x2_next, t, d1, d2, certificate, known = step(problem, config, x1, x2, res)
             trajectory.append(
                 IterateRecord(
                     k=len(trajectory), x1=x1, x2=x2, g1=res.g1, g2=res.g2,

@@ -212,6 +212,43 @@ def test_lu_exactly_singular_raises_without_warning():
                 lu_solve(A, np.ones(A.shape[0]))
 
 
+@pytest.mark.parametrize("n", [1, 3, 40])
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_lu_rejects_a_non_finite_entry_anywhere(value, order, n):
+    # the finiteness check reads dlange's norm, which a NaN or inf entry
+    # makes non-finite wherever it sits: corners, then an interior entry
+    rng = np.random.default_rng(n)
+    M = rng.standard_normal((n, n)) + n * np.eye(n)
+    for i, j in {(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1), (n // 2, (n - 1) // 2)}:
+        A = M.copy()
+        A[i, j] = value
+        with pytest.raises(NonFiniteEvaluation):
+            lu_solve(np.array(A, order=order), np.ones(n))
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_lu_finite_entries_whose_row_sums_overflow_are_singular(order):
+    # ||A||_inf overflows to inf although every entry is finite: the matrix
+    # is checked entry by entry, passes, and fails the pivot test against
+    # the infinite norm
+    for A in (np.full((3, 3), 1e308), np.diag([1e308, 1e308]) + np.array([[0.0, 1e308], [0.0, 0.0]])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError):
+                lu_solve(np.array(A, order=order), np.ones(A.shape[0]))
+
+
+def test_same_bits_tells_signed_zeros_apart():
+    for n in (2, 5):  # the byte compare, then the view compare
+        A = np.eye(n)
+        B = A.copy()
+        assert linalg_mod._same_bits(A, B) and linalg_mod._same_bits(A, np.asfortranarray(B))
+        B[0, n - 1] = -0.0
+        assert np.array_equal(A, B) and not linalg_mod._same_bits(A, B)
+        assert not linalg_mod._same_bits(A, np.eye(n + 1))
+
+
 def test_lu_empty_system():
     assert lu_solve(np.zeros((0, 0)), np.zeros(0)).shape == (0,)
 
@@ -491,6 +528,21 @@ def test_assemble_returns_a_new_fortran_ordered_np_block():
         assert out.flags.f_contiguous
         assert out.tobytes() == np.block([[H1, t * M1], [t * M2, H2]]).tobytes()
         assert not any(np.shares_memory(out, block) for block in (H1, H2, M1, M2))
+
+
+@pytest.mark.parametrize("t", [1.0, 0.5, 2.0**-40, 100.0])
+def test_assemble_has_the_bits_of_np_block(t):
+    # the blocks are copied and the mixed ones scaled in place when t != 1;
+    # M*t has the bits of t*M, signed zeros, subnormal and overflowing
+    # products included
+    H1, H2, M1, M2, _ = _random_blocks(11, 4, 6)
+    M1[0, 0], M1[1, 2], M2[3, 1] = -0.0, 1e-300, 1e307
+    M2[0, 0] = -M2[0, 0]
+    with np.errstate(over="ignore"):
+        expected = np.block([[H1, t * M1], [t * M2, H2]])
+        out = assemble_block_system(H1, H2, M1, M2, t)
+    assert out.shape == expected.shape and out.flags.f_contiguous
+    assert (out.view(np.uint64) == expected.view(np.uint64)).all()
 
 
 def test_assemble_counterexample_display():

@@ -25,6 +25,7 @@ from nepsolve import (
     solve_exact_jacobi,
     solve_newton_kkt,
 )
+import nepsolve.core as core_mod
 import nepsolve.solver as solver_mod
 import nepsolve.suite as suite_mod
 from nepsolve.baselines import newton_kkt_step
@@ -948,3 +949,164 @@ def test_dense_direction_and_newton_step_have_scipys_bits():
     K = np.block([[point.hess11, point.mixed12], [point.mixed21, point.hess22]])
     expected = scipy.linalg.lu_solve(scipy.linalg.lu_factor(K), rhs)
     assert np.concatenate(newton_kkt_step(problem, res)).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the final classification reuses the last step's PSD verdicts
+# ---------------------------------------------------------------------------
+
+
+def _one_step_game(n, hess11_at, shared=False):
+    """grad_i = x_i and player 2's Hessian block is the identity, so a unit
+    step from any start lands on the origin, where the run converges.
+    Player 1's Hessian block is hess11_at(x1), written into one buffer that
+    every call returns when shared."""
+    buffer = np.empty((n, n))
+
+    def hess11(x1, x2):
+        if not shared:
+            return hess11_at(x1)
+        buffer[...] = hess11_at(x1)
+        return buffer
+
+    return NepProblem(
+        n1=n, n2=n,
+        f1=lambda x1, x2: 0.5 * float(x1 @ x1), f2=lambda x1, x2: 0.5 * float(x2 @ x2),
+        grad1=lambda x1, x2: x1.copy(), grad2=lambda x1, x2: x2.copy(),
+        hess11=hess11, hess22=lambda x1, x2: np.eye(n),
+        hess12_f1=lambda x1, x2: np.zeros((n, n)), hess21_f2=lambda x1, x2: np.zeros((n, n)),
+    )
+
+
+def _counted_psd_tests(monkeypatch):
+    calls = []
+    psd_test = core_mod.psd_test
+
+    def counted(S):
+        calls.append(S.shape)
+        return psd_test(S)
+
+    monkeypatch.setattr(core_mod, "psd_test", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [2, 20])
+def test_a_block_written_into_the_same_buffer_gets_no_stale_verdict(n):
+    # the identity at the start, minus the identity at the origin, both in
+    # the one buffer the oracle hands out: the verdict the step took on the
+    # identity must not classify the origin
+    def hess11_at(x1):
+        return np.eye(n) if x1.any() else -np.eye(n)
+
+    report = solve(_one_step_game(n, hess11_at, shared=True), np.ones(n), np.ones(n))
+    assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 1)
+    assert report.classification.kind is PointKind.NON_EQUILIBRIUM_STATIONARY
+    assert report.classification.min_eig_1 == -1.0
+
+
+@pytest.mark.parametrize("n", [2, 20])
+@pytest.mark.parametrize("final_zero, tests_run", [(0.0, 0), (-0.0, 1)])
+def test_a_block_that_differs_by_a_signed_zero_is_tested_again(monkeypatch, n, final_zero, tests_run):
+    # the step tests the identity; at the origin player 1's block is the
+    # identity with final_zero in one symmetric pair: only the same bits
+    # reuse the step's verdict, so -0.0 is tested again and player 2's
+    # unchanged block is not
+    def hess11_at(x1):
+        H = np.eye(n)
+        if not x1.any():
+            H[0, n - 1] = H[n - 1, 0] = final_zero
+        return H
+
+    calls = _counted_psd_tests(monkeypatch)
+    report = solve(_one_step_game(n, hess11_at), np.ones(n), np.ones(n))
+    assert (report.status, report.iterations) == (SolveStatus.CONVERGED, 1)
+    assert report.classification.kind is PointKind.EQUILIBRIUM_CANDIDATE
+    assert len(calls) == tests_run
+
+
+@pytest.mark.parametrize("n", [2, 40])
+@pytest.mark.parametrize(
+    "kind",
+    ["positive-definite", "diagonal-negative-zeros", "null", "near-psd", "psd-singular",
+     "indefinite", "asymmetric-last-bit", "large-norm-singular", "edge-above", "edge-below"],
+)
+def test_the_surrogate_builds_verdicts_classify_as_the_test_does(monkeypatch, kind, n):
+    # build_surrogates hands out (block, verdict) per player; classified
+    # with them, a point reads the kind and eigenvalues it reads without
+    # them, and tests neither block again
+    calls = _counted_psd_tests(monkeypatch)
+    for seed in range(3):
+        problem = _blocks_problem(_classify_block(kind, n, seed), _classify_block(kind, n, seed + 5))
+        res = residual_at(problem, np.zeros(n), np.zeros(n))
+        verdicts = []
+        build_surrogates(res.point, SolverConfig(), verdicts)
+        before = len(calls)
+        reused = classify_point(res, tol=1e-4, known=tuple(verdicts))
+        assert len(calls) == before
+        fresh = classify_point(res, tol=1e-4)
+        assert reused.kind is fresh.kind
+        assert repr(reused) == repr(fresh)
+
+
+def _report_bits(report):
+    cls = report.classification
+    parts = [report.status.value, report.iterations, report.final_x1.tobytes(),
+             report.final_x2.tobytes(), report.final_residual]
+    if cls is not None:
+        parts += [cls.kind, np.float64(cls.min_eig_1).tobytes(), np.float64(cls.min_eig_2).tobytes()]
+    for rec in report.trajectory:
+        parts += [rec.t, rec.certificate, rec.d1.tobytes(), rec.d2.tobytes(), rec.g1.tobytes()]
+    return parts
+
+
+def test_verdict_reuse_keeps_every_report_bit(monkeypatch):
+    # seeded dense games and examples from the origin and from seeded
+    # starts, and the first 20 starts of the seed-0 facility study, with
+    # the final classification reusing the step's verdicts and without
+    runs = []
+    rng = np.random.default_rng(3)
+    for problem_id in ("quadratic:0:5x5", "quadratic:3:30x30", "quadratic:1:40x40",
+                       "quadratic:2:60x60", "quadratic:4:10x25", "examp1", "examp3", "examp5"):
+        problem = get_problem(problem_id)
+        starts = [np.zeros(problem.n1 + problem.n2), rng.uniform(-2.0, 2.0, problem.n1 + problem.n2)]
+        runs += [(problem, x[: problem.n1], x[problem.n1:], None) for x in starts]
+    facility = get_problem("facility2d")
+    study = SolverConfig(grad_tol=1e-6, divergence_radius=100.0)
+    for row in np.random.default_rng(0).uniform(-2.0, 2.0, size=(20, 4)):
+        runs.append((facility, row[:2], row[2:], study))
+
+    calls = _counted_psd_tests(monkeypatch)
+    reused = [_report_bits(solve(*run)) for run in runs]
+    tests_with_reuse = len(calls)
+    monkeypatch.setattr(
+        solver_mod, "classify_point", lambda res, tol, known=None: classify_point(res, tol)
+    )
+    fresh = [_report_bits(solve(*run)) for run in runs]
+    assert reused == fresh
+    assert tests_with_reuse < len(calls) - tests_with_reuse
+
+
+@pytest.mark.parametrize(
+    "run, iterations", [(solve, 0), (solve_newton_kkt, 1), (solve_exact_jacobi, 1)]
+)
+def test_a_slope_that_overflows_is_a_status_under_warnings_as_errors(run, iterations):
+    # f1 = x1 (x1/2 + 1e155), f2 = x2^2/2 from (0, 0): the gradient 1e155 is
+    # finite, and its product with a direction of order 1e155, the slope of
+    # the inequalities, overflows without a warning; the values are Python
+    # floats, whose products overflow to inf silently. The -inf slope fails
+    # Armijo at every t, and the trials' infinite values end the run
+    problem = NepProblem(
+        n1=1, n2=1,
+        f1=lambda x1, x2: float(x1[0]) * (0.5 * float(x1[0]) + 1e155),
+        f2=lambda x1, x2: 0.5 * float(x2[0]) * float(x2[0]),
+        grad1=lambda x1, x2: np.array([x1[0] + 1e155]),
+        grad2=lambda x1, x2: np.array([x2[0]]),
+        hess11=lambda x1, x2: np.array([[1.0]]),
+        hess22=lambda x1, x2: np.array([[1.0]]),
+        hess12_f1=lambda x1, x2: np.array([[0.0]]),
+        hess21_f2=lambda x1, x2: np.array([[0.0]]),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run(problem, [0.0], [0.0])
+    assert (report.status, report.iterations) == (SolveStatus.DIVERGED, iterations)

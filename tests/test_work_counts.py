@@ -33,10 +33,11 @@ FACILITY_COUNTS = {
 
 #: counts of one solve of quadratic:7:150x150 from the origin: one Newton
 #: iteration; descent-newton factors each surrogate once (the PSD test's
-#: potrf also builds it) and both solvers test the two blocks at the end,
-#: for the classification
+#: potrf also builds it), and its classification at the end reuses those
+#: verdicts, since the game's Hessian blocks do not change; newton-kkt tests
+#: the two blocks at the end, for the classification
 DENSE_COUNTS = {
-    "descent-newton": {"potrf": 4, "getrf": 1},
+    "descent-newton": {"potrf": 2, "getrf": 1},
     "newton-kkt": {"potrf": 2, "getrf": 1},
 }
 
